@@ -20,8 +20,9 @@ can be reproduced without writing Python:
   determinism/cache safety, hardware realizability; see
   :mod:`repro.lint`).
 * ``doctor``    — environment health checks (cache/journal writability,
-  cache-lock discipline, worker spawn, ``--workers`` endpoint preflight,
-  lint baseline; see :mod:`repro.doctor`).
+  orphaned temp files, ``--cache-url`` server preflight, worker spawn,
+  ``--workers`` endpoint preflight, lint baseline; see
+  :mod:`repro.doctor`).
 * ``worker``    — serve suite cells to a coordinator over TCP (the
   ``--backend workers`` substrate; see
   :mod:`repro.experiments.worker`).

@@ -10,21 +10,19 @@ check fails.
 Checks:
 
 * result-cache directory is creatable and writable,
-* cache-dir lock files can be taken exclusively (``O_EXCL`` honoured —
-  shared-filesystem caches sometimes fake it),
+* no orphaned ``.tmp*`` files have accumulated in the cache directory
+  (a crashed writer leaves at most a few; doctor sweeps ones older than
+  an hour and reports what it removed),
+* the ``--cache-url`` cache server answers the handshake and reports its
+  counters (shared-cache preflight; sweeps pointed at an unreachable
+  server silently degrade to read-only local fallback, so catch it
+  here),
 * run-journal directory is creatable and writable,
 * a worker process can be spawned and returns a result (the parallel
   engine's substrate),
 * every ``--workers host:port`` endpoint answers the protocol handshake
   with a matching version (distributed-backend preflight; unreachable or
   version-skewed workers fail the check),
-* the ``--cache-url`` cache server answers the handshake and reports its
-  counters (shared-cache preflight; sweeps pointed at an unreachable
-  server silently degrade to read-only local fallback, so catch it
-  here),
-* no orphaned ``.tmp*`` files have accumulated in the cache directory
-  (a crashed writer leaves at most a few; doctor sweeps ones older than
-  an hour and reports what it removed),
 * the lint baseline, when present, parses,
 * the trace generator produces a benchmark trace (simulator smoke test).
 """
@@ -54,18 +52,6 @@ def _check_cache_dir(cache_dir: Optional[str]) -> Tuple[bool, str]:
         return False, (f"cache dir {cache.directory} not writable: {error} "
                        "— set $REPRO_CACHE_DIR or pass --cache-dir")
     return True, f"cache dir writable: {cache.directory}"
-
-
-def _check_cache_lock(cache_dir: Optional[str]) -> Tuple[bool, str]:
-    from .experiments.result_cache import ResultCache
-
-    cache = ResultCache(cache_dir)
-    error = cache.probe_lock()
-    if error is not None:
-        return False, (f"cache dir {cache.directory} lock probe failed: "
-                       f"{error} — concurrent writers on this filesystem "
-                       "cannot be serialised")
-    return True, f"cache lock discipline ok: {cache.directory}"
 
 
 def _check_worker_endpoints(workers: str) -> Tuple[bool, str]:
@@ -216,19 +202,16 @@ def run_doctor(cache_dir: Optional[str] = None,
     """
     checks: List[Tuple[str, Callable[[], Tuple[bool, str]]]] = [
         ("cache", lambda: _check_cache_dir(cache_dir)),
-        ("cache-lock", lambda: _check_cache_lock(cache_dir)),
         ("cache-tmp", lambda: _check_orphan_tmp(cache_dir)),
+        *([("cache-server", lambda: _check_cache_server(cache_url))]
+          if cache_url is not None else []),
         ("journal", lambda: _check_journal_dir(journal_dir)),
         ("workers", _check_worker_spawn),
+        *([("endpoints", lambda: _check_worker_endpoints(workers))]
+          if workers is not None else []),
         ("lint", _check_lint_baseline),
         ("simulator", _check_simulator),
     ]
-    if workers is not None:
-        checks.insert(5, ("endpoints",
-                          lambda: _check_worker_endpoints(workers)))
-    if cache_url is not None:
-        checks.insert(3, ("cache-server",
-                          lambda: _check_cache_server(cache_url)))
     failures = 0
     for name, check in checks:
         passed, message = check()

@@ -12,10 +12,9 @@ payloads preserves bit-identical results.  This module makes the cache a
   ``store`` / ``probe`` / ``stats`` requests against one local cache
   directory.  Stores are digest-checked server-side (a corrupt upload is
   rejected, never persisted); corrupt on-disk entries are quarantined on
-  read exactly as in the local cache.  One process serialises all
-  writers, so the NFS lock-file discipline (the *filesystem-only legacy
-  path*, see :class:`~repro.experiments.result_cache.CacheLock`) is not
-  needed.
+  read exactly as in the local cache.  Hosts share one cache through
+  this server rather than through a shared filesystem: the server's
+  directory is local to it, where every write is an atomic rename.
 * :class:`NetworkCacheClient` — slots in wherever
   :class:`~repro.experiments.result_cache.ResultCache` is used (selected
   via ``--cache-url`` or ``$REPRO_CACHE_URL``; see
@@ -70,7 +69,12 @@ from .backends import (
     send_frame,
 )
 from .resilience import take_protocol_fault
-from .result_cache import ResultCache, decode_result, encode_result
+from .result_cache import (
+    ResultCache,
+    decode_result,
+    encode_result,
+    write_atomic,
+)
 
 __all__ = [
     "CACHE_URL_ENV",
@@ -246,9 +250,7 @@ def serve_cache(host: str = "127.0.0.1", port: int = 0,
         print(f"[repro-cache] serving {state.cache.directory} on "
               f"{host}:{bound} (protocol v{PROTOCOL_VERSION})", flush=True)
     if ready_file is not None:
-        path = Path(ready_file)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(f"{host}:{bound}\n")
+        write_atomic(ready_file, f"{host}:{bound}\n")
     server.settimeout(_ACCEPT_TICK)
     threads: List[threading.Thread] = []
     conns: List[socket.socket] = []
@@ -414,7 +416,6 @@ class NetworkCacheClient:
         self.misses = 0
         self.stores = 0
         self.quarantined = 0  # quarantining happens server-side
-        self.lock_timeouts = 0  # no lock files on this path
         # …plus network-specific ones.
         self.rpc_errors = 0
         self.reconnects = 0
@@ -589,7 +590,6 @@ class NetworkCacheClient:
             "misses": self.misses,
             "stores": self.stores,
             "quarantined": self.quarantined,
-            "lock_timeouts": self.lock_timeouts,
             "rpc_errors": self.rpc_errors,
             "reconnects": self.reconnects,
             "corrupt_replies": self.corrupt_replies,

@@ -44,8 +44,9 @@ journal use, so a streamed grid is bit-identical to a local run; the
 content digests — diffing two summaries proves two runs agree.
 
 With the other service modules this is sanctioned for socket use
-(``conc-socket``); it reads no clocks and writes no files beyond the
-ready file (``det-time`` / ``det-write``).
+(``conc-socket``); it reads no clocks (``det-time``) and writes its one
+file, the ready file, through
+:func:`~repro.experiments.result_cache.write_atomic` (``det-write``).
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ import argparse
 import asyncio
 import json
 import threading
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..common.hashing import stable_digest
@@ -62,7 +62,7 @@ from ..core.config import GOLDEN_COVE
 from ..obs.metrics import MetricsWriter
 from ..trace.profiles import suite_names
 from .resilience import DEFAULT_POLICY, CellFailure, ResiliencePolicy
-from .result_cache import encode_result
+from .result_cache import encode_result, write_atomic
 from .runner import DEFAULT_TRACE_LENGTH
 
 __all__ = [
@@ -420,9 +420,7 @@ async def _serve_async(host: str, port: int, coordinator: _Coordinator,
         print(f"[repro-serve] listening on http://{host}:{bound} "
               f"(backend={coordinator.backend or 'local'})", flush=True)
     if ready_file is not None:
-        path = Path(ready_file)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(f"{host}:{bound}\n")
+        write_atomic(ready_file, f"{host}:{bound}\n")
     async with server:
         if stop is None:
             await server.serve_forever()

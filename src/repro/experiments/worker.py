@@ -44,7 +44,6 @@ import socket
 import struct
 import threading
 import time
-from pathlib import Path
 from typing import List, Optional
 
 from ..common.hashing import stable_digest
@@ -56,6 +55,7 @@ from .backends import (
     spec_from_wire,
 )
 from .resilience import take_protocol_fault
+from .result_cache import write_atomic
 
 __all__ = ["main", "serve"]
 
@@ -102,9 +102,7 @@ def serve(host: str = "127.0.0.1", port: int = 0,
               f"(protocol v{PROTOCOL_VERSION}, sessions={sessions})",
               flush=True)
     if ready_file is not None:
-        path = Path(ready_file)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(f"{host}:{bound}\n")
+        write_atomic(ready_file, f"{host}:{bound}\n")
     server.settimeout(_ACCEPT_TICK)
     compute_lock = threading.Lock() if sessions > 1 else None
     threads: List[threading.Thread] = []

@@ -27,10 +27,11 @@ that surface:
   audited frame codec; a stray socket elsewhere bypasses the lease,
   digest and fault-injection machinery.
 * ``conc-file-lock``      — file-locking primitives (``fcntl.flock`` /
-  ``lockf``, ``os.open`` with ``O_EXCL``) outside the result cache
-  (:data:`FILE_LOCK_SANCTIONED_MODULES`), whose ``CacheLock`` is the one
-  place allowed to hold cross-process locks — ad-hoc locks deadlock
-  against it on shared filesystems.
+  ``lockf``, ``os.open`` with ``O_EXCL``) anywhere in the package.  No
+  module is sanctioned: the result cache needs no lock (entries are
+  content-addressed, verified on load and written by atomic rename), and
+  a lock taken elsewhere can stall or deadlock a sweep on a shared
+  filesystem.
 
 Reachability is the conservative call-graph closure of
 :mod:`repro.lint.callgraph` seeded at ``compute_cell``; ``functools``
@@ -51,7 +52,7 @@ from .index import PackageIndex, _dotted
 from .source import SourceModule
 
 __all__ = ["RULES", "check", "WORKER_ENTRY_POINTS",
-           "SOCKET_SANCTIONED_MODULES", "FILE_LOCK_SANCTIONED_MODULES"]
+           "SOCKET_SANCTIONED_MODULES"]
 
 RULES: Dict[str, str] = {
     "conc-mutable-global": "mutable module-level state in a worker-reachable "
@@ -60,7 +61,7 @@ RULES: Dict[str, str] = {
     "conc-process-handle": "process-bound handle created at module scope in "
                            "a worker-reachable module",
     "conc-socket": "socket use outside the sanctioned protocol modules",
-    "conc-file-lock": "file-lock primitive outside the result cache",
+    "conc-file-lock": "file-lock primitive in package code",
 }
 
 #: (module suffix, function name) seeds for worker reachability: the pure
@@ -79,12 +80,6 @@ SOCKET_SANCTIONED_MODULES = frozenset({
     # The async HTTP coordinator front-end (asyncio streams plus the
     # frame protocol via the backends it drives).
     "repro.experiments.serve",
-})
-
-#: The only module allowed to take cross-process file locks: the result
-#: cache's ``CacheLock`` (shared-filesystem writer discipline).
-FILE_LOCK_SANCTIONED_MODULES = frozenset({
-    "repro.experiments.result_cache",
 })
 
 #: Calls that create a network socket.
@@ -313,7 +308,6 @@ def _boundary_findings(index: PackageIndex) -> List[Finding]:
     for name in sorted(index.modules):
         mod = index.modules[name]
         socket_ok = name in SOCKET_SANCTIONED_MODULES
-        lock_ok = name in FILE_LOCK_SANCTIONED_MODULES
         for node in ast.walk(mod.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -330,16 +324,15 @@ def _boundary_findings(index: PackageIndex) -> List[Finding]:
                             "digests and fault injection cover it",
                     symbol=f"{name}:{target}",
                 ))
-            elif not lock_ok and (target in _FILE_LOCK_CALLS
-                                  or (target == "os.open"
-                                      and _uses_o_excl(node))):
+            elif (target in _FILE_LOCK_CALLS
+                  or (target == "os.open" and _uses_o_excl(node))):
                 findings.append(Finding(
                     rule="conc-file-lock", module=name, path=str(mod.path),
                     line=node.lineno, col=node.col_offset,
-                    message=f"{target}() takes a cross-process file lock "
-                            "outside repro.experiments.result_cache; use "
-                            "CacheLock so lock discipline stays in one "
-                            "audited place",
+                    message=f"{target}() takes a cross-process file lock; "
+                            "write shared files with "
+                            "repro.experiments.result_cache.write_atomic "
+                            "(temp file + os.replace) instead",
                     symbol=f"{name}:{target}",
                 ))
     return findings

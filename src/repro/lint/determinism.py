@@ -86,9 +86,6 @@ MONOTONIC_CLOCK_MODULES = frozenset({
     # Distributed substrate: lease deadlines, heartbeat ages, reconnect
     # cooldowns — scheduling only, never part of a result.
     "repro.experiments.backends",
-    # CacheLock wait budget (its one wall-clock read, lock-file age for
-    # stale-break, carries a det-time pragma at the call site).
-    "repro.experiments.result_cache",
     # Cache-client reconnect cooldown — scheduling only.
     "repro.experiments.cache_service",
 })
@@ -109,13 +106,6 @@ SANCTIONED_WRITE_MODULES = frozenset({
     # The perf-baseline writer: BENCH_throughput.json is a committed
     # artifact, produced on explicit request, never from a suite cell.
     "repro.experiments.bench_baseline",
-    # The worker service's ready-file (host:port for launch scripts);
-    # cell computation inside the worker stays write-free.
-    "repro.experiments.worker",
-    # The cache service and HTTP coordinator write the same ready-file
-    # breadcrumb; entry persistence itself goes through result_cache.
-    "repro.experiments.cache_service",
-    "repro.experiments.serve",
 })
 
 _RANDOM_DRAWS = frozenset({

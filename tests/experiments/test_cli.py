@@ -179,6 +179,19 @@ class TestDoctor:
         assert "FAIL [cache]" in out
         assert "--cache-dir" in out
 
+    def test_check_order_with_workers_and_cache_url(self, tmp_path, capsys):
+        # Nothing listens on port 1, so both remote checks fail, but
+        # they still print, in place, between the local checks.
+        assert main(["doctor", "--cache-dir", str(tmp_path / "c"),
+                     "--journal-dir", str(tmp_path / "j"),
+                     "--workers", "127.0.0.1:1",
+                     "--cache-url", "tcp://127.0.0.1:1"]) == 1
+        out = capsys.readouterr().out
+        names = [line.split("[", 1)[1].split("]", 1)[0]
+                 for line in out.splitlines() if line[:4] in ("ok  ", "FAIL")]
+        assert names == ["cache", "cache-tmp", "cache-server", "journal",
+                         "workers", "endpoints", "lint", "simulator"]
+
 
 class TestFigure:
     def test_table2(self, capsys):

@@ -17,12 +17,13 @@ from repro.core.stats import PipelineStats
 from repro.experiments.parallel import CellSpec, execute_cells
 from repro.experiments.result_cache import (
     CACHE_DIR_ENV,
-    CacheLock,
     ResultCache,
     cell_key,
     default_cache_dir,
+    encode_result,
     predictor_fingerprint,
     shared_code_salt,
+    write_atomic,
 )
 from repro.experiments.runner import PredictionRunResult
 
@@ -319,135 +320,6 @@ class TestSourceDigest:
         assert predictor_fingerprint("mascot")["code"]
 
 
-class TestCacheLock:
-    """Lock-file discipline for shared (multi-coordinator) caches."""
-
-    def test_exclusive_while_held(self, tmp_path):
-        lock = CacheLock(tmp_path / "entry.lock")
-        assert lock.acquire()
-        rival = CacheLock(tmp_path / "entry.lock", timeout=0.2)
-        assert not rival.acquire()
-        lock.release()
-        assert rival.acquire()
-        rival.release()
-
-    def test_lock_file_holds_token_and_is_removed_on_release(self, tmp_path):
-        import os
-
-        path = tmp_path / "entry.lock"
-        with CacheLock(path) as lock:
-            assert lock.acquired
-            assert path.read_text() == lock.token
-            pid, _, nonce = path.read_text().partition(":")
-            assert pid == str(os.getpid())
-            assert nonce.isdigit()
-        assert not path.exists()
-
-    def test_tokens_unique_per_acquire(self, tmp_path):
-        lock = CacheLock(tmp_path / "entry.lock")
-        assert lock.acquire()
-        first = lock.token
-        lock.release()
-        assert lock.acquire()
-        assert lock.token != first
-        lock.release()
-
-    def test_stale_lock_is_broken(self, tmp_path):
-        import os
-
-        path = tmp_path / "entry.lock"
-        path.write_text("99999")
-        old = path.stat().st_mtime - 120.0
-        os.utime(path, (old, old))  # holder died two minutes ago
-        lock = CacheLock(path, timeout=1.0, stale_after=30.0)
-        assert lock.acquire()
-        lock.release()
-
-    def test_timeout_proceeds_unlocked(self, tmp_path):
-        path = tmp_path / "entry.lock"
-        path.write_text("1")  # fresh: never stale-broken within the test
-        lock = CacheLock(path, timeout=0.2, stale_after=300.0)
-        assert not lock.acquire()
-        assert not lock.acquired
-        lock.release()  # no-op, must not unlink the rival's lock
-        assert path.exists()
-
-    def test_unwritable_directory_proceeds_unlocked(self, tmp_path):
-        blocker = tmp_path / "file"
-        blocker.write_text("not a directory")
-        lock = CacheLock(blocker / "entry.lock", timeout=0.2)
-        assert not lock.acquire()
-
-    def test_store_under_held_lock_counts_timeout_but_lands(self, tmp_path,
-                                                            monkeypatch):
-        result = _sample_accuracy_result()
-        cache = ResultCache(tmp_path)
-        key = cell_key(BASE)
-        monkeypatch.setattr(
-            ResultCache, "_lock_for",
-            lambda self, path: CacheLock(path.with_name(path.name + ".lock"),
-                                         timeout=0.2, stale_after=300.0))
-        rival = cache._lock_for(cache.path_for(key))
-        assert rival.acquire()
-        try:
-            cache.store(key, result)
-        finally:
-            rival.release()
-        # Best-effort: the write proceeded unlocked and was counted.
-        assert cache.lock_timeouts == 1
-        assert cache.load(key) is not None
-
-    def test_release_after_steal_leaves_new_owner_lock(self, tmp_path):
-        """Regression: release used to unlink unconditionally.  When a
-        stale-breaker removes A's lock and B re-acquires, A's release
-        must leave B's lock file alone."""
-        path = tmp_path / "entry.lock"
-        ours = CacheLock(path)
-        assert ours.acquire()
-        path.unlink()  # a stale-breaker judged us dead...
-        rival = CacheLock(path)
-        assert rival.acquire()  # ...and a rival took the lock over
-        ours.release()
-        assert path.exists()
-        assert path.read_text() == rival.token
-        rival.release()
-        assert not path.exists()
-
-    def test_stale_break_skips_reacquired_lock(self, tmp_path):
-        """Regression: the stale-break unlink is conditional on the lock
-        still holding the token whose age was judged stale.  If the
-        holder releases and a third party re-acquires between the stat
-        and the unlink, the fresh lock survives."""
-        import os
-
-        path = tmp_path / "entry.lock"
-        path.write_text("99999:0")
-        old = path.stat().st_mtime - 120.0
-        os.utime(path, (old, old))
-        breaker = CacheLock(path, timeout=0.2, stale_after=30.0)
-        observed = breaker._read_state()
-        assert observed == ("99999:0", observed[1]) and observed[1] > 30.0
-        # The race window: holder releases, someone else re-acquires.
-        path.unlink()
-        fresh = CacheLock(path)
-        assert fresh.acquire()
-        assert not breaker._unlink_if_token(observed[0])
-        assert path.read_text() == fresh.token
-        fresh.release()
-
-    def test_probe_lock_clean_directory(self, tmp_path):
-        assert ResultCache(tmp_path / "cache").probe_lock() is None
-
-    def test_probe_lock_detects_non_exclusive_create(self, tmp_path,
-                                                     monkeypatch):
-        # Simulate a filesystem that silently ignores O_EXCL: the second
-        # acquire "succeeds" while the probe still holds the lock.
-        cache = ResultCache(tmp_path / "cache")
-        monkeypatch.setattr(CacheLock, "acquire", lambda self: True)
-        error = cache.probe_lock()
-        assert error is not None and "O_EXCL" in error
-
-
 class TestTempFileHygiene:
     """A failed store must not strand ``<key>.json.tmp<pid>`` forever."""
 
@@ -487,14 +359,8 @@ class TestTempFileHygiene:
 
 
 class TestConcurrentWriters:
-    """Two coordinators racing on one key: serialised, counted, intact."""
-
-    @pytest.fixture
-    def short_lock(self, monkeypatch):
-        monkeypatch.setattr(
-            ResultCache, "_lock_for",
-            lambda self, path: CacheLock(path.with_name(path.name + ".lock"),
-                                         timeout=0.2, stale_after=300.0))
+    """Writers and readers racing on one key need no lock: the worst a
+    reader can see is one extra miss, never a wrong result."""
 
     def test_two_writers_same_key_both_land(self, tmp_path):
         import threading
@@ -518,37 +384,173 @@ class TestConcurrentWriters:
         assert all(cache.stores == 5 for cache in writers)
         loaded = writers[0].load(key)
         assert loaded.to_dict() == result.to_dict()
-        # No residue: temp files consumed, every lock released.
+        # No residue: temp files consumed, no lock file ever created.
         assert writers[0].orphan_tmp_files() == []
         assert not (tmp_path / f"{key}.json.lock").exists()
 
-    def test_quarantine_under_held_lock_counts_timeout(self, tmp_path,
-                                                       short_lock):
-        cache = ResultCache(tmp_path)
-        key = "c" * 64
-        cache.store(key, _sample_accuracy_result())
-        cache.path_for(key).write_text("garbage")
-        rival = cache._lock_for(cache.path_for(key))
-        assert rival.acquire()
-        try:
-            assert cache.load(key) is None  # proceeds unlocked
-        finally:
-            rival.release()
-        assert cache.lock_timeouts == 1
-        assert cache.quarantined == 1
-        assert (cache.quarantine_dir / f"{key}.json").exists()
+    def test_threads_hammer_same_key(self, tmp_path):
+        # Threads of one process share a pid, so a temp name must also be
+        # unique per write: otherwise one writer's rename consumes the
+        # file another is still writing.  More writers than cores and a
+        # short switch interval make the interleavings dense.
+        import sys
+        import threading
 
-    def test_lock_timeouts_accumulate_across_store_and_quarantine(
-            self, tmp_path, short_lock):
-        cache = ResultCache(tmp_path)
-        key = "d" * 64
-        rival = cache._lock_for(cache.path_for(key))
-        assert rival.acquire()
+        key = "f" * 64
+        stores = 200
+        result = _sample_accuracy_result()
+        writers = [ResultCache(tmp_path) for _ in range(4)]
+        gate = threading.Barrier(len(writers))
+        errors = []
+
+        def hammer(cache):
+            gate.wait()
+            try:
+                for _ in range(stores):
+                    cache.store(key, result)
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        threads = [threading.Thread(target=hammer, args=(cache,))
+                   for cache in writers]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            cache.store(key, _sample_accuracy_result())  # timeout 1
-            cache.path_for(key).write_text("garbage")
-            assert cache.load(key) is None  # quarantine: timeout 2
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
         finally:
-            rival.release()
-        assert cache.lock_timeouts == 2
-        assert cache.counters["lock_timeouts"] == 2
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert [cache.stores for cache in writers] == [stores] * 4
+        assert writers[0].load(key).to_dict() == result.to_dict()
+        assert writers[0].orphan_tmp_files() == []
+
+    def test_two_processes_same_key_both_land(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        key = "b" * 64
+        stores = 200
+        result = _sample_accuracy_result()
+        encoded = tmp_path / "encoded.json"
+        encoded.write_text(json.dumps(encode_result(result)))
+        go = tmp_path / "go"
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", _STORE_LOOP, str(tmp_path / "cache"),
+             key, str(encoded), str(go), str(stores)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) for _ in range(2)]
+        go.touch()  # release both writers at once
+        outputs = [proc.communicate(timeout=120) for proc in procs]
+        for proc, (out, err) in zip(procs, outputs):
+            assert proc.returncode == 0, err
+            assert int(out) == stores
+        cache = ResultCache(tmp_path / "cache")
+        assert cache.load(key).to_dict() == result.to_dict()
+        assert cache.orphan_tmp_files() == []
+
+    def test_load_racing_corruption_never_returns_a_wrong_result(
+            self, tmp_path):
+        import threading
+
+        key = "e" * 64
+        result = _sample_accuracy_result()
+        expected = result.to_dict()
+        writer, reader = ResultCache(tmp_path), ResultCache(tmp_path)
+        done = threading.Event()
+        errors = []
+        outcomes = []
+
+        def corrupt_and_repair():
+            try:
+                for _ in range(200):
+                    writer.path_for(key).write_text("garbage")
+                    writer.store(key, result)
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+            finally:
+                done.set()
+
+        def load_until_done():
+            try:
+                while not done.is_set():
+                    loaded = reader.load(key)
+                    outcomes.append(None if loaded is None
+                                    else loaded.to_dict())
+            except Exception as error:
+                errors.append(error)
+
+        threads = [threading.Thread(target=corrupt_and_repair),
+                   threading.Thread(target=load_until_done)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert outcomes
+        assert all(outcome is None or outcome == expected
+                   for outcome in outcomes)
+        assert writer.stores == 200
+
+
+#: Body of one writer process in the two-process race: wait for the go
+#: file, then store one encoded payload under one key ``count`` times.
+_STORE_LOOP = """
+import json, sys, time
+from pathlib import Path
+from repro.experiments.result_cache import ResultCache
+
+directory, key, encoded, go, count = sys.argv[1:6]
+payload = json.loads(Path(encoded).read_text())
+cache = ResultCache(directory)
+while not Path(go).exists():
+    time.sleep(0.001)
+for _ in range(int(count)):
+    cache.store_encoded(key, payload)
+print(cache.stores)
+"""
+
+
+class TestWriteAtomic:
+    """The one write discipline shared by cache entries and ready files."""
+
+    def test_failed_rename_leaves_no_ready_file(self, tmp_path,
+                                                monkeypatch):
+        ready = tmp_path / "run" / "worker.ready"
+
+        def refuse(src, dst):
+            raise OSError("injected: rename failed")
+
+        monkeypatch.setattr("os.replace", refuse)
+        with pytest.raises(OSError, match="rename failed"):
+            write_atomic(ready, "127.0.0.1:7461\n")
+        assert not ready.exists()
+        assert list(ready.parent.iterdir()) == []  # temp file removed too
+
+    def test_temp_name_unique_per_write(self, tmp_path, monkeypatch):
+        import os
+
+        renamed = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            renamed.append(os.path.basename(src))
+            real_replace(src, dst)
+
+        monkeypatch.setattr("os.replace", spy)
+        for _ in range(3):
+            write_atomic(tmp_path / "entry.json", "{}")
+        assert len(set(renamed)) == 3
+        assert all(name.startswith(f"entry.json.tmp{os.getpid()}.")
+                   for name in renamed)

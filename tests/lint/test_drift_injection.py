@@ -114,8 +114,8 @@ class TestProtocolBoundary:
         assert any(f.rule == "conc-socket" for f in result.active)
 
     def test_ad_hoc_file_lock_outside_cache_fails_lint(self, tree):
-        # An ad-hoc O_EXCL lock in the journal would deadlock against
-        # CacheLock's discipline on shared filesystems.
+        # An O_EXCL lock file anywhere in the package is a finding: no
+        # module is sanctioned to take cross-process file locks.
         mutate(tree, "experiments/journal.py",
                "def default_journal_dir(",
                "def _grab(path):\n"
@@ -126,8 +126,8 @@ class TestProtocolBoundary:
         assert any(f.rule == "conc-file-lock" for f in result.active)
 
     def test_sanctioned_modules_stay_clean(self, tree):
-        # backends/worker (sockets) and result_cache (CacheLock) are the
-        # sanctioned homes; the clean copy must not flag them.
+        # backends/worker are the sanctioned socket homes and no module
+        # takes a file lock; the clean copy must not flag either rule.
         result = lint_paths([tree], select=INTERPROCEDURAL)
         assert not any(f.rule in ("conc-socket", "conc-file-lock")
                        for f in result.active)
