@@ -19,18 +19,47 @@ set -euo pipefail
 
 WORKDIR=$(mktemp -d)
 JOURNALS="$WORKDIR/journals"
+# Pids of every worker start_worker launched.  A worker starts inside a
+# $(...) subshell, so it is no job of this shell: `jobs -p` never lists
+# it, and only this record lets cleanup stop it.
+WORKER_PIDS="$WORKDIR/worker.pids"
 UOPS=${CHAOS_UOPS:-60000}
 GRID=(--benchmarks exchange2 lbm perlbench1 mcf xalancbmk gcc1)
 
+alive() { # $1: pid; true while it runs (a zombie has exited)
+    local state
+    state=$(ps -o stat= -p "$1" 2>/dev/null) || return 1
+    [ -n "$state" ] && [ "${state#Z}" = "$state" ]
+}
+
 cleanup() {
-    # shellcheck disable=SC2046
-    kill $(jobs -p) 2>/dev/null || true
+    local status=$? workers survivors="" pid
+    workers=$(cat "$WORKER_PIDS" 2>/dev/null || true)
+    # shellcheck disable=SC2046,SC2086
+    kill $(jobs -p) $workers 2>/dev/null || true
+    for pid in $workers; do
+        for _ in $(seq 1 50); do
+            alive "$pid" || continue 2
+            sleep 0.1
+        done
+        survivors="$survivors $pid"
+    done
     rm -rf "$WORKDIR"
+    if [ -n "$survivors" ]; then
+        echo "chaos drill: workers still running at exit:$survivors" >&2
+        # shellcheck disable=SC2086
+        kill -9 $survivors 2>/dev/null || true
+        exit 1
+    fi
+    exit "$status"
 }
 trap cleanup EXIT
 
-start_worker() { # $1: ready file; prints the worker pid
-    python -m repro worker --ready-file "$1" >/dev/null 2>&1 &
+start_worker() { # $1: ready file, then worker options; prints the pid
+    local ready=$1
+    shift
+    python -m repro worker --ready-file "$ready" "$@" >/dev/null 2>&1 &
+    echo $! >>"$WORKER_PIDS"
     echo $!
 }
 
@@ -121,10 +150,8 @@ CS_PORT="${CS_ADDR##*:}"
 # Preflight: the cache server answers the protocol handshake too.
 python -m repro doctor --cache-url "tcp://$CS_ADDR"
 
-python -m repro worker --sessions 2 --ready-file "$WORKDIR/w4.ready" \
-    >/dev/null 2>&1 &
-python -m repro worker --sessions 2 --ready-file "$WORKDIR/w5.ready" \
-    >/dev/null 2>&1 &
+start_worker "$WORKDIR/w4.ready" --sessions 2 >/dev/null
+start_worker "$WORKDIR/w5.ready" --sessions 2 >/dev/null
 wait_ready "$WORKDIR/w4.ready"
 wait_ready "$WORKDIR/w5.ready"
 

@@ -15,12 +15,12 @@ which simply forwards to the real ``predict_and_train`` path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..common.bitops import mask
-from ..common.foldplan import BranchStream, FoldPlan
+from ..common.foldplan import BranchStream, FoldPlan, key_rows
 from ..common.foldvec import FoldVector
 from ..common.history import INDIRECT_TARGET_BITS
 from .base import BranchPredictor
@@ -54,9 +54,8 @@ class TageSession:
     __slots__ = ("p", "fv", "_idx_slots", "_tag_slots", "_tag2_slots",
                  "_tables", "_base", "_nh", "_imask", "_tmask", "_bmask",
                  "_ibits", "_tbits", "_reset_period", "_stats", "_pc_cache",
-                 "_idx", "_tags", "_plan", "_rows_idx", "_rows_tag",
-                 "_base_rows", "_jc", "_ifv", "_iplan", "_ind_idx",
-                 "_ind_tag", "_ind_base", "_ji")
+                 "_idx", "_tags", "_plan", "_rows", "_ifv", "_iplan",
+                 "_ind_rows")
 
     def __init__(self, p: TAGEBranchPredictor) -> None:
         self.p = p
@@ -80,16 +79,14 @@ class TageSession:
         self._idx = [0] * nh
         self._tags = [0] * nh
         self._plan: Optional[FoldPlan] = None
-        self._rows_idx: Optional[List[Tuple[int, ...]]] = None
-        self._rows_tag: Optional[List[Tuple[int, ...]]] = None
-        self._base_rows: Optional[List[int]] = None
-        self._jc = 0
+        # Primed (index tuple, tag tuple, base index) rows, one per
+        # conditional / indirect branch (see common.foldplan.key_rows).
+        self._rows: Optional[Iterator[Tuple[Tuple[int, ...],
+                                            Tuple[int, ...], int]]] = None
         self._ifv: Optional[FoldVector] = None
         self._iplan: Optional[FoldPlan] = None
-        self._ind_idx: Optional[List[Tuple[int, ...]]] = None
-        self._ind_tag: Optional[List[Tuple[int, ...]]] = None
-        self._ind_base: Optional[List[int]] = None
-        self._ji = 0
+        self._ind_rows: Optional[Iterator[Tuple[Tuple[int, ...],
+                                                Tuple[int, ...], int]]] = None
 
     def _build_pc(self, pc: int) -> Tuple[List[int], int, int]:
         pcv = pc >> 1
@@ -131,11 +128,10 @@ class TageSession:
             vi = series[self._idx_slots[t]][k_cond]
             vt = series[self._tag_slots[t]][k_cond]
             vt2 = series[self._tag2_slots[t]][k_cond]
-            icols.append(((base ^ ((t + 1) * 0x9E37) ^ vi) & imask).tolist())
-            tcols.append(((stag ^ vt ^ (vt2 << 1)) & tmask).tolist())
-        self._rows_idx = list(zip(*icols))
-        self._rows_tag = list(zip(*tcols))
-        self._base_rows = (pcv & self._bmask).tolist()
+            icols.append((base ^ ((t + 1) * 0x9E37) ^ vi) & imask)
+            tcols.append((stag ^ vt ^ (vt2 << 1)) & tmask)
+        plan.drop_series()
+        self._rows = key_rows(icols, tcols, pcv & self._bmask)
 
     def _prime_ittage(self, stream: BranchStream) -> None:
         """Precompute the ITTAGE's per-indirect table keys and history.
@@ -167,23 +163,18 @@ class TageSession:
             vi = series[ifv.slot(h, ib)][kp]
             vt = series[ifv.slot(h, tb)][kp]
             vt2 = series[ifv.slot(h, tb2)][kp]
-            icols.append(
-                ((base_i ^ vi ^ ((t + 1) * 0x9E37)) & imask).tolist())
-            tcols.append(((stag ^ vt ^ (vt2 << 1)) & tmask).tolist())
-        self._ind_idx = list(zip(*icols))
-        self._ind_tag = list(zip(*tcols))
-        self._ind_base = (ipc & mask(itt.base_index_bits)).tolist()
+            icols.append((base_i ^ vi ^ ((t + 1) * 0x9E37)) & imask)
+            tcols.append((stag ^ vt ^ (vt2 << 1)) & tmask)
+        iplan.drop_series()
+        self._ind_rows = key_rows(icols, tcols,
+                                  ipc & mask(itt.base_index_bits))
 
     def on_branch(self, pc: int, taken: bool) -> bool:
         p = self.p
         nh = self._nh
-        rows = self._rows_idx
+        rows = self._rows
         if rows is not None:
-            jc = self._jc
-            self._jc = jc + 1
-            idx = rows[jc]
-            tags = self._rows_tag[jc]
-            base_idx = self._base_rows[jc]
+            idx, tags, base_idx = next(rows)
         else:
             c = self._pc_cache.get(pc)
             if c is None:
@@ -290,11 +281,7 @@ class TageSession:
         """``ITTAGE.predict_and_train`` with primed keys; history advance
         deferred to the plan's ``finalize``."""
         itt = self.p._ittage
-        ji = self._ji
-        self._ji = ji + 1
-        idx = self._ind_idx[ji]
-        tags = self._ind_tag[ji]
-        base_idx = self._ind_base[ji]
+        idx, tags, base_idx = next(self._ind_rows)
         tables = itt._tables
         nh = len(tables)
         provider = -1

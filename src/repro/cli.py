@@ -37,9 +37,11 @@ can be reproduced without writing Python:
   write (or, with ``--check``, compare against) the committed
   ``benchmarks/BENCH_throughput.json`` (see docs/performance.md).
 
-``simulate`` and ``compare`` accept ``--engine {scalar,batched}``; the
-batched engine produces bit-identical statistics (pinned by the golden
-equivalence test tier) at several times the throughput.
+``simulate``, ``compare`` and ``figure`` accept ``--engine
+{scalar,batched}``.  The default is ``batched``, which produces statistics
+bit-identical to the ``scalar`` reference pipeline (pinned by the golden
+equivalence test tier) at several times the throughput; ``--engine
+scalar`` reruns a grid on the reference as an independent cross-check.
 
 ``simulate``, ``compare``, ``accuracy``, ``profile`` and the figure
 commands ``fig7``/``fig8``/``fig9`` accept ``--sampling`` (with
@@ -72,7 +74,12 @@ from .lint import cli as lint_cli
 from .experiments.bench_baseline import BASELINE_PATH
 from .experiments.reporting import render_table
 from .experiments.resilience import CellFailure, ResiliencePolicy
-from .experiments.runner import TIMING_ENGINES, default_cache, run_timing
+from .experiments.runner import (
+    DEFAULT_ENGINE,
+    TIMING_ENGINES,
+    default_cache,
+    run_timing,
+)
 from .experiments.suite import (
     PREDICTOR_FACTORIES,
     make_predictor,
@@ -179,6 +186,15 @@ def _suite_kwargs(args):
     }
 
 
+def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
+    """Timing-engine choice shared by simulate/compare/figure."""
+    parser.add_argument(
+        "--engine", choices=TIMING_ENGINES, default=DEFAULT_ENGINE,
+        help="timing engine (default: %(default)s); the two are "
+             "bit-identical and 'scalar' is the reference",
+    )
+
+
 def _add_sampling_args(parser: argparse.ArgumentParser) -> None:
     """Sampled-simulation flags shared by simulate/compare/figure/profile."""
     parser.add_argument(
@@ -232,24 +248,29 @@ _FIGURES = {
     "fig2": lambda args: figures.fig2_smb_opportunities(args.benchmarks, args.uops),
     "fig7": lambda args: figures.fig7_ipc_full(args.benchmarks, args.uops,
                                                sampling=_sampling_arg(args),
+                                               engine=args.engine,
                                                **_suite_kwargs(args)),
     "fig8": lambda args: figures.fig8_mispredictions(args.benchmarks, args.uops,
                                                      sampling=_sampling_arg(args),
                                                      **_suite_kwargs(args)),
     "fig9": lambda args: figures.fig9_ipc_mdp_only(args.benchmarks, args.uops,
                                                    sampling=_sampling_arg(args),
+                                                   engine=args.engine,
                                                    **_suite_kwargs(args)),
     "fig10": lambda args: figures.fig10_prediction_mix(args.benchmarks, args.uops,
                                                        **_suite_kwargs(args)),
     "fig11": lambda args: figures.fig11_ablation(args.benchmarks, args.uops,
+                                                 engine=args.engine,
                                                  **_suite_kwargs(args)),
     "fig12": lambda args: figures.fig12_future_architectures(
-        args.benchmarks, args.uops, **_suite_kwargs(args)),
+        args.benchmarks, args.uops, engine=args.engine,
+        **_suite_kwargs(args)),
     "fig13": lambda args: figures.fig13_table_usage(args.benchmarks, args.uops,
                                                     **_suite_kwargs(args)),
     "fig14": lambda args: figures.fig14_f1_ranking(args.benchmarks, args.uops,
                                                    **_suite_kwargs(args)),
     "fig15": lambda args: figures.fig15_mascot_opt(args.benchmarks, args.uops,
+                                                   engine=args.engine,
                                                    **_suite_kwargs(args)),
     "table1": lambda args: figures.table1_configuration(),
     "table2": lambda args: figures.table2_sizes(),
@@ -378,10 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--uops", type=int, default=60_000)
     simulate.add_argument("--core", choices=sorted(_CORES),
                           default="golden-cove")
-    simulate.add_argument(
-        "--engine", choices=TIMING_ENGINES, default="scalar",
-        help="timing engine; 'batched' is bit-identical and faster",
-    )
+    _add_engine_arg(simulate)
     _add_sampling_args(simulate)
 
     compare = sub.add_parser("compare", help="normalised-IPC sweep")
@@ -391,10 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(compare)
     compare.add_argument("--core", choices=sorted(_CORES),
                          default="golden-cove")
-    compare.add_argument(
-        "--engine", choices=TIMING_ENGINES, default="scalar",
-        help="timing engine; 'batched' is bit-identical and faster",
-    )
+    _add_engine_arg(compare)
     _add_sampling_args(compare)
 
     accuracy = sub.add_parser("accuracy", help="prediction-only error sweep")
@@ -407,6 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     figure = sub.add_parser("figure", help="regenerate a paper table/figure")
     figure.add_argument("name", choices=sorted(_FIGURES))
     _add_common(figure)
+    _add_engine_arg(figure)
     _add_sampling_args(figure)
 
     sub.add_parser("sizes", help="print Table II")
@@ -506,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     budget.add_argument("--predictor", default="mascot",
                         choices=sorted(PREDICTOR_FACTORIES))
     budget.add_argument("--engine", choices=TIMING_ENGINES,
-                        default="batched",
+                        default=DEFAULT_ENGINE,
                         help="timing engine for both sides "
                              "(default: %(default)s)")
     budget.add_argument(

@@ -27,14 +27,19 @@ feed the plans, and :func:`path_series` gives the matching closed form for
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from itertools import chain
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .history import INDIRECT_TARGET_BITS
 from .foldvec import FoldVector
 
-__all__ = ["BranchStream", "FoldPlan", "path_series"]
+__all__ = ["BranchStream", "FoldPlan", "path_series", "key_rows",
+           "iter_ints", "KEY_ROW_BLOCK"]
+
+#: Events whose primed keys :func:`key_rows` holds as Python ints at once.
+KEY_ROW_BLOCK = 512
 
 _IND_MASK = (1 << INDIRECT_TARGET_BITS) - 1
 
@@ -194,6 +199,14 @@ class FoldPlan:
                 )
         self.series = series
 
+    def drop_series(self) -> None:
+        """Keep only each series' final value, all :meth:`finalize` reads.
+
+        Primed sessions call this once their keys are computed, so the
+        whole-stream series do not stay alive for the rest of the run.
+        """
+        self.series = [col[-1:].copy() for col in self.series]
+
     def finalize(self) -> None:
         """Advance the FoldVector to the post-stream state."""
         fv = self.fv
@@ -236,3 +249,31 @@ def path_series(initial: int, width: int, bits_per_branch: int,
     for m in range(nb):
         values |= ext[base - m:base - m + n + 1] << (m * bits_per_branch)
     return values & wmask
+
+
+def key_rows(*columns, block: int = KEY_ROW_BLOCK) -> Iterator[tuple]:
+    """Per-event rows of whole-trace key columns, materialised by block.
+
+    Primed sessions compute every event's table keys as numpy columns up
+    front; this yields them back one event at a time, in order.  A column
+    is either one array, which contributes a plain int to each row, or a
+    list of arrays (one per table), which contributes a tuple with one int
+    per table.  Only ``block`` events are held as Python objects at once,
+    so priming costs the compact numpy columns rather than a tuple per
+    event for the whole trace.
+    """
+    first = columns[0]
+    n = len(first[0] if isinstance(first, list) else first)
+    for lo in range(0, n, block):
+        hi = lo + block
+        yield from zip(*[
+            zip(*[part[lo:hi].tolist() for part in column])
+            if isinstance(column, list) else column[lo:hi].tolist()
+            for column in columns
+        ])
+
+
+def iter_ints(values: np.ndarray, block: int = KEY_ROW_BLOCK) -> Iterator[int]:
+    """``values.tolist()`` as an iterator, materialised by block."""
+    return chain.from_iterable(
+        values[lo:lo + block].tolist() for lo in range(0, len(values), block))

@@ -14,10 +14,17 @@ structural property of the scalar model:
 So the run splits into **Phase A** — replay the predictor-visible stream
 through fused per-predictor sessions (:mod:`repro.predictors.batch`,
 :mod:`repro.branch.batch`), collecting per-load decisions as plain ints —
-and **Phase B** — a monolithic timing loop over precomputed
-:class:`~repro.trace.columns.TraceColumns`, with the scalar code's
-dict/deque scoreboards replaced by :class:`~repro.core.scoreboard.RingWindow`
-and :class:`~repro.core.scoreboard.StoreScoreboard`.
+and **Phase B** — a monolithic timing loop over the trace, with the
+scalar code's dict/deque scoreboards replaced by rings and per-uop plain
+lists.
+
+Memory is bounded to what the loops read: whole-trace vectorised work
+uses the lazily built :class:`~repro.trace.columns.TraceColumns`, Phase
+A's primed table keys are materialised a block of loads at a time, both
+loops read a micro-op's other fields from its own :class:`MicroOp` rather
+than from whole-trace list copies, and Phase B keeps issue and commit
+times only for the IQ / ROB window its dispatch reads (every uop's times
+only when a timeline is recorded).
 
 Phase A mirrors the scalar :class:`~repro.core.lsu.StoreWindow` membership
 (same capacity, same eviction order) so store-distance/seq resolution and
@@ -38,7 +45,7 @@ import numpy as np
 
 from ..analysis.accuracy import OutcomeKind
 from ..branch.tage import TAGEBranchPredictor
-from ..common.foldplan import BranchStream
+from ..common.foldplan import BranchStream, iter_ints
 from ..memory.hierarchy import MemoryHierarchy
 from ..obs.cycles import CycleStack
 from ..predictors.base import MDPredictor
@@ -51,7 +58,7 @@ from ..trace.columns import OP_BY_CODE, OP_CODES, TraceColumns
 from ..trace.uop import MicroOp, OpClass
 from .config import GOLDEN_COVE, CoreConfig
 from .pipeline import _CONSUMER_OPS, _WINDOW_CATEGORIES
-from .scoreboard import SeqScoreboard, StoreScoreboard
+from .scoreboard import SeqScoreboard
 from .stats import PipelineStats
 
 __all__ = ["BatchedPipeline"]
@@ -96,20 +103,20 @@ class BatchedPipeline:
         self.stats = PipelineStats()
         self._acct: Optional[CycleStack] = CycleStack() if accounting else None
         self._record_timeline = record_timeline
-        # Per-uop timing exported at end of run (timeline, re-run guard).
+        self._ran = False
+        # Per-uop timing, exported at end of run when recording a timeline.
         self._commit_times: List[int] = []
         self._issue_times: List[int] = []
         self._fetch_times: List[int] = []
         self._dispatch_times: List[int] = []
         self._complete_times: List[int] = []
-        self._stores: Optional[StoreScoreboard] = None
 
     # ------------------------------------------------------------------ run
 
     def run(self, trace: Sequence[MicroOp],
             measure_from: int = 0) -> PipelineStats:
         """Simulate the trace; returns (and stores) the statistics."""
-        if self._commit_times:
+        if self._ran:
             raise RuntimeError(
                 "Pipeline instances are single-use: construct a new "
                 "Pipeline per run (predictor and cache state would "
@@ -119,15 +126,19 @@ class BatchedPipeline:
             raise ValueError(
                 f"measure_from {measure_from} outside trace of {len(trace)}"
             )
+        self._ran = True
         cols = TraceColumns.ensure(trace)
-        phase_a = self._phase_a(trace, cols, measure_from)
-        self._phase_b(cols, measure_from, phase_a)
+        # Op codes as a plain list: list indexing yields ints, where numpy
+        # indexing would make an ``np.int64`` on every read.
+        op_l = cols.op.tolist()
+        phase_a = self._phase_a(trace, cols, op_l, measure_from)
+        self._phase_b(trace, cols, op_l, measure_from, phase_a)
         return self.stats
 
     # -------------------------------------------------- phase A: predictors
 
     def _phase_a(self, trace: Sequence[MicroOp], cols: TraceColumns,
-                 measure_from: int):
+                 op_l: List[int], measure_from: int):
         """Replay the predictor-visible event stream in trace order.
 
         Returns the per-event decision lists Phase B consumes.  All
@@ -141,16 +152,12 @@ class BatchedPipeline:
         bsession = self.branch_predictor.batch_session()
         bstats = self.branch_predictor.stats
 
-        lists = cols.lists()
-        pc_l = lists["pc"]
-        dep_l = lists["dep_store_seq"]
-        dist_l = lists["store_distance"]
-        byp_l = lists["bypass"]
+        byp_l = cols.bypass.tolist()
         ev_idx = cols.indices_of(
             OpClass.LOAD, OpClass.STORE,
             OpClass.BRANCH_COND, OpClass.BRANCH_INDIRECT,
         )
-        ev_seqs = ev_idx.tolist()
+        ev_seqs = iter_ints(ev_idx)
 
         # Whole-run history/key precomputation: the architectural branch
         # stream is a pure function of the trace, so sessions that support
@@ -205,7 +212,6 @@ class BatchedPipeline:
         warm_mispredicts = bstats.mispredictions
         warm_indirect = bstats.indirect_mispredictions
 
-        op_l = lists["op"]
         op_load = _OP_LOAD
         op_store = _OP_STORE
         op_bc = _OP_BC
@@ -224,16 +230,16 @@ class BatchedPipeline:
             code = op_l[seq]
             uop = trace[seq]
             if code == op_load:
-                dep = dep_l[seq]
-                present = dep >= 0 and dep in member
+                dep = uop.dep_store_seq
+                present = dep is not None and dep in member
                 if present:
                     bb = branch_count - store_branch[dep]
-                    spc = pc_l[dep]
+                    spc = trace[dep].pc
                 else:
                     bb = 0
                     spc = None
                 kind, p_seq, p_dist, conservative, ok_code = s_predict_train(
-                    uop, bb, spc, dist_l[seq], byp_l[seq]
+                    uop, bb, spc, uop.store_distance, byp_l[seq]
                 )
                 tgt = -1
                 if kind:
@@ -299,24 +305,17 @@ class BatchedPipeline:
         )
 
         return (ld_kind, ld_target, ld_conservative, ld_smb_ok, ld_present,
-                st_ordering, br_correct, store_branch)
+                st_ordering, br_correct)
 
     # ------------------------------------------------------ phase B: timing
 
-    def _phase_b(self, cols: TraceColumns, measure_from: int,
-                 phase_a) -> None:
+    def _phase_b(self, trace: Sequence[MicroOp], cols: TraceColumns,
+                 op_l: List[int], measure_from: int, phase_a) -> None:
         """Monolithic timing loop — the scalar constraint chain, inlined."""
         (ld_kind, ld_target, ld_conservative, ld_smb_ok, ld_present,
-         st_ordering, br_correct, store_branch) = phase_a
+         st_ordering, br_correct) = phase_a
         cfg = self.config
         n = cols.n
-        lists = cols.lists()
-        op_l = lists["op"]
-        pc_l = lists["pc"]
-        addr_l = lists["address"]
-        asrc_l = lists["addr_src"]
-        dep_l = lists["dep_store_seq"]
-        srcs_l = cols.srcs
 
         fetch_width = cfg.fetch_width
         frontend = cfg.frontend_latency
@@ -356,28 +355,34 @@ class BatchedPipeline:
             return cycle
 
         value_ready = [0] * n
-        issue_times = [0] * n
-        commit_times = [0] * n
-        produced = (cols.op == _OP_LOAD).tolist()
+
+        # Dispatch reads the commit time of the uop ``rob_size`` back and
+        # the issue time of the uop ``iq_size`` back, so rings of those
+        # sizes hold every read: slot ``seq % size`` holds uop
+        # ``seq - size`` until this uop overwrites it (0 before the window
+        # first fills, as in the scalar run).
+        commit_ring = [0] * rob_size
+        issue_ring = [0] * iq_size
+        start_cycle = 0  # commit cycle of the last warmup uop
 
         recording = self._record_timeline
         if recording:
+            issue_times = [0] * n
+            commit_times = [0] * n
             fetch_times = [0] * n
             dispatch_times = [0] * n
             complete_times = [0] * n
 
         # Store-timing columns as plain lists during the loop (native-int
-        # reads); exported as a numpy StoreScoreboard at end of run.  The
-        # LQ/SB window-release reads ("when did the load/store `capacity`
-        # slots ago commit/drain?") index the per-kind event lists directly
-        # — the RingWindow form of the same read stays property-tested in
-        # tests/core.
+        # reads).  The LQ/SB window-release reads ("when did the
+        # load/store `capacity` slots ago commit/drain?") index the
+        # per-kind event lists directly — the RingWindow form of the same
+        # read stays property-tested in tests/core.
         lq_size = cfg.lq_size
         sb_size = cfg.sb_size
         st_addr = [-1] * n
         st_data = [-1] * n
         st_drain = [-1] * n
-        st_bc = [-1] * n
         ld_commits: List[int] = []
         st_drains: List[int] = []
 
@@ -430,13 +435,11 @@ class BatchedPipeline:
             # -- dispatch (window releases) --
             is_load = code == op_load
             is_store = code == op_store
-            rob_point = iq_point = lq_point = sb_point = 0
-            rv = seq - rob_size
-            if rv >= 0:
-                rob_point = commit_times[rv]
-            iv = seq - iq_size
-            if iv >= 0:
-                iq_point = issue_times[iv]
+            lq_point = sb_point = 0
+            rob_slot = seq % rob_size
+            rob_point = commit_ring[rob_slot]
+            iq_slot = seq % iq_size
+            iq_point = issue_ring[iq_slot]
             if is_load:
                 if li >= lq_size:
                     lq_point = ld_commits[li - lq_size]
@@ -455,7 +458,8 @@ class BatchedPipeline:
 
             # -- source readiness --
             ready = 0
-            srcs = srcs_l[seq]
+            uop = trace[seq]
+            srcs = uop.srcs
             for src in srcs:
                 t = value_ready[src]
                 if t > ready:
@@ -471,7 +475,7 @@ class BatchedPipeline:
             # Sec. VI-A consumer-wait metric.
             if measuring and srcs and is_consumer[code]:
                 for src in srcs:
-                    if produced[src]:
+                    if op_l[src] == op_load:
                         n_cons += 1
                         wait = ready - d1
                         if wait > 0:
@@ -493,8 +497,8 @@ class BatchedPipeline:
                 kind = ld_kind[li]
                 tgt = ld_target[li]
                 a = d1
-                asrc = asrc_l[seq]
-                if asrc >= 0:
+                asrc = uop.addr_src
+                if asrc is not None:
                     t = value_ready[asrc]
                     if t > a:
                         a = t
@@ -514,9 +518,9 @@ class BatchedPipeline:
                 issue = pool_issue(load_free, wait_until)
                 if accounting:
                     port_from = wait_until
-                dep = dep_l[seq]
+                dep = uop.dep_store_seq
                 squash_at = 0  # 0 = no squash (cycle 0 is never a squash)
-                if dep >= 0 and ld_present[li]:
+                if dep is not None and ld_present[li]:
                     dep_addr = st_addr[dep]
                     if issue < dep_addr:
                         squash_at = dep_addr + 1
@@ -529,7 +533,7 @@ class BatchedPipeline:
                         complete = t + fwd_lat
                     elif enforce_drain and issue > st_drain[dep]:
                         complete = timed_load(
-                            pc_l[seq], addr_l[seq], issue + agu_lat - 1
+                            uop.pc, uop.address, issue + agu_lat - 1
                         )
                     else:
                         if measuring:
@@ -541,7 +545,7 @@ class BatchedPipeline:
                         complete = t + fwd_lat
                 else:
                     complete = timed_load(
-                        pc_l[seq], addr_l[seq], issue + agu_lat - 1
+                        uop.pc, uop.address, issue + agu_lat - 1
                     )
                 value = complete
                 if kind == 2 and tgt >= 0:
@@ -576,8 +580,8 @@ class BatchedPipeline:
                 li += 1
             elif is_store:
                 a = d1
-                asrc = asrc_l[seq]
-                if asrc >= 0:
+                asrc = uop.addr_src
+                if asrc is not None:
                     t = value_ready[asrc]
                     if t > a:
                         a = t
@@ -595,10 +599,9 @@ class BatchedPipeline:
                             else data_avail)
                 if accounting:
                     port_from = a
-                store_probe(addr_l[seq])
+                store_probe(uop.address)
                 st_addr[seq] = addr_resolve
                 st_data[seq] = data_avail
-                st_bc[seq] = store_branch[seq]
                 value = complete
                 si += 1
             elif code == op_bc or code == op_bi:
@@ -646,10 +649,14 @@ class BatchedPipeline:
                 commit_cycle += 1
                 commit_slots = 0
 
-            issue_times[seq] = issue
-            commit_times[seq] = c
+            issue_ring[iq_slot] = issue
+            commit_ring[rob_slot] = c
             value_ready[seq] = value
+            if not measuring:
+                start_cycle = c
             if recording:
+                issue_times[seq] = issue
+                commit_times[seq] = c
                 fetch_times[seq] = fetch
                 dispatch_times[seq] = dispatch
                 complete_times[seq] = complete
@@ -698,7 +705,6 @@ class BatchedPipeline:
         stats = self.stats
         measured = n - measure_from
         stats.instructions = measured
-        start_cycle = commit_times[measure_from - 1] if measure_from > 0 else 0
         stats.cycles = max(commit_cycle - start_cycle, 1)
         stats.accuracy.instructions = max(measured, 1)
         stats.memory_squashes = n_squash
@@ -712,15 +718,9 @@ class BatchedPipeline:
             if tail > 0:
                 acct.add("commit", tail)
 
-        sb = StoreScoreboard(n)
-        sb.addr_resolve[:] = st_addr
-        sb.data_ready[:] = st_data
-        sb.drain[:] = st_drain
-        sb.branch_count[:] = st_bc
-        self._issue_times = issue_times
-        self._commit_times = commit_times
-        self._stores = sb
         if recording:
+            self._issue_times = issue_times
+            self._commit_times = commit_times
             self._fetch_times = fetch_times
             self._dispatch_times = dispatch_times
             self._complete_times = complete_times

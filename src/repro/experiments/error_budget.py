@@ -26,6 +26,7 @@ import math
 from typing import Dict, List, Optional, Sequence
 
 from ..core.config import GOLDEN_COVE, CoreConfig
+from ..core.engines import DEFAULT_ENGINE
 from ..sampling import SamplingPolicy
 
 __all__ = [
@@ -59,7 +60,7 @@ def run_error_budget(
     predictor: str = "mascot",
     policy: Optional[SamplingPolicy] = None,
     config: CoreConfig = GOLDEN_COVE,
-    engine: str = "batched",
+    engine: str = DEFAULT_ENGINE,
     verbose: bool = False,
 ) -> Dict[str, object]:
     """Run the grid sampled and full; returns the budget report."""

@@ -34,7 +34,7 @@ from .parallel import (
 )
 from .reporting import format_percent, render_table
 from .resilience import CellFailure, ResiliencePolicy
-from .runner import DEFAULT_TRACE_LENGTH, default_cache
+from .runner import DEFAULT_ENGINE, DEFAULT_TRACE_LENGTH, default_cache
 from .suite import IpcSuiteResult, run_accuracy_suite, run_ipc_suite
 
 __all__ = [
@@ -50,7 +50,35 @@ __all__ = [
     "fig13_table_usage",
     "fig14_f1_ranking",
     "fig15_mascot_opt",
+    "TIMING_FIGURE_GRIDS",
 ]
+
+# ---------------------------------------------------- timing-figure grids
+
+#: The predictors each timing figure compares.  ``run_ipc_suite`` adds
+#: the figure's normalisation baseline to the grid.
+FIG7_PREDICTORS = ("nosq", "phast", "mascot")
+FIG9_PREDICTORS = ("store-sets", "phast", "mascot-mdp")
+FIG11_PREDICTORS = ("mascot", "mascot-mdp", "tage-no-nd", "tage-no-nd-mdp")
+FIG12_PREDICTORS = ("perfect-mdp-smb", "mascot")
+FIG12_CORES = (GOLDEN_COVE, LION_COVE)
+FIG15_PREDICTORS = ("mascot", "mascot-opt", "mascot-opt-tag2",
+                    "mascot-opt-tag4", "mascot-opt-tag6")
+#: Baselines the IPC figures normalise to.
+IPC_BASELINE = "perfect-mdp"
+FIG15_BASELINE = "mascot"
+
+#: Every timing figure's default grid: (predictors including the
+#: baseline, cores).  The golden equivalence tier must cover each
+#: (predictor, core) pair here, since every figure runs on the batched
+#: engine by default.
+TIMING_FIGURE_GRIDS = {
+    "fig7": ((IPC_BASELINE, *FIG7_PREDICTORS), (GOLDEN_COVE,)),
+    "fig9": ((IPC_BASELINE, *FIG9_PREDICTORS), (GOLDEN_COVE,)),
+    "fig11": ((IPC_BASELINE, *FIG11_PREDICTORS), (GOLDEN_COVE,)),
+    "fig12": ((IPC_BASELINE, *FIG12_PREDICTORS), FIG12_CORES),
+    "fig15": (FIG15_PREDICTORS, (GOLDEN_COVE,)),
+}
 
 def _suite_failures(suite: IpcSuiteResult) -> List[CellFailure]:
     """Flatten an IPC suite's failures[predictor][benchmark] grid."""
@@ -284,7 +312,7 @@ def fig7_ipc_full(
     resume: ResumeSpec = None,
     metrics: MetricsSpec = None,
     backend: BackendSpec = None,
-    engine: str = "scalar",
+    engine: str = DEFAULT_ENGINE,
     sampling: Optional[SamplingPolicy] = None,
 ) -> IpcFigureResult:
     """NoSQ vs PHAST vs MASCOT (MDP+SMB), normalised to perfect MDP.
@@ -293,8 +321,9 @@ def fig7_ipc_full(
     per-cell confidence half-widths and a methodology footer (the values
     are reconstructions, not full replays).
     """
-    predictors = ["nosq", "phast", "mascot"]
+    predictors = list(FIG7_PREDICTORS)
     suite = run_ipc_suite(predictors, benchmarks, num_uops,
+                          baseline=IPC_BASELINE,
                           jobs=jobs, cache=cache, policy=policy,
                           journal=journal, resume=resume,
                           metrics=metrics, backend=backend,
@@ -315,12 +344,13 @@ def fig9_ipc_mdp_only(
     resume: ResumeSpec = None,
     metrics: MetricsSpec = None,
     backend: BackendSpec = None,
-    engine: str = "scalar",
+    engine: str = DEFAULT_ENGINE,
     sampling: Optional[SamplingPolicy] = None,
 ) -> IpcFigureResult:
     """Store Sets vs PHAST vs MDP-only MASCOT, normalised to perfect MDP."""
-    predictors = ["store-sets", "phast", "mascot-mdp"]
+    predictors = list(FIG9_PREDICTORS)
     suite = run_ipc_suite(predictors, benchmarks, num_uops,
+                          baseline=IPC_BASELINE,
                           jobs=jobs, cache=cache, policy=policy,
                           journal=journal, resume=resume,
                           metrics=metrics, backend=backend,
@@ -500,7 +530,7 @@ class Fig11Result:
             "Fig. 11 — MASCOT vs TAGE-like without non-dependence "
             "allocation",
         ]
-        for name in ("mascot", "mascot-mdp", "tage-no-nd", "tage-no-nd-mdp"):
+        for name in FIG11_PREDICTORS:
             lines.append(
                 f"  {name:16s} geomean IPC vs perfect MDP: "
                 f"{format_percent(self.ipc.geomean(name))}"
@@ -524,13 +554,14 @@ def fig11_ablation(
     resume: ResumeSpec = None,
     metrics: MetricsSpec = None,
     backend: BackendSpec = None,
+    engine: str = DEFAULT_ENGINE,
 ) -> Fig11Result:
     """MASCOT vs the no-non-dependence TAGE ablation (Fig. 11)."""
-    predictors = ["mascot", "mascot-mdp", "tage-no-nd", "tage-no-nd-mdp"]
-    ipc = run_ipc_suite(predictors, benchmarks, num_uops,
+    ipc = run_ipc_suite(list(FIG11_PREDICTORS), benchmarks, num_uops,
+                        baseline=IPC_BASELINE,
                         jobs=jobs, cache=cache, policy=policy,
                         journal=journal, resume=resume, metrics=metrics,
-                        backend=backend)
+                        backend=backend, engine=engine)
     accuracy = run_accuracy_suite(["mascot", "tage-no-nd"], benchmarks,
                                   num_uops, jobs=jobs, cache=cache,
                                   policy=policy, journal=journal,
@@ -574,7 +605,7 @@ class Fig12Result:
 def fig12_future_architectures(
     benchmarks: Optional[Sequence[str]] = None,
     num_uops: int = DEFAULT_TRACE_LENGTH,
-    cores: Sequence[CoreConfig] = (GOLDEN_COVE, LION_COVE),
+    cores: Sequence[CoreConfig] = FIG12_CORES,
     jobs: int = 1,
     cache: CacheSpec = None,
     policy: Optional[ResiliencePolicy] = None,
@@ -582,16 +613,19 @@ def fig12_future_architectures(
     resume: ResumeSpec = None,
     metrics: MetricsSpec = None,
     backend: BackendSpec = None,
+    engine: str = DEFAULT_ENGINE,
 ) -> Fig12Result:
     """MASCOT and the SMB ceiling on larger cores (Fig. 12)."""
-    predictors = ["perfect-mdp-smb", "mascot"]
+    predictors = list(FIG12_PREDICTORS)
     geomeans: Dict[str, Dict[str, float]] = {}
     failures: List[CellFailure] = []
     for core in cores:
         suite = run_ipc_suite(predictors, benchmarks, num_uops, config=core,
+                              baseline=IPC_BASELINE,
                               jobs=jobs, cache=cache, policy=policy,
                               journal=journal, resume=resume,
-                              metrics=metrics, backend=backend)
+                              metrics=metrics, backend=backend,
+                              engine=engine)
         geomeans[core.name] = {p: suite.geomean(p) for p in predictors}
         failures.extend(_suite_failures(suite))
     return Fig12Result(geomeans=geomeans, failures=failures)
@@ -760,14 +794,14 @@ def fig15_mascot_opt(
     resume: ResumeSpec = None,
     metrics: MetricsSpec = None,
     backend: BackendSpec = None,
+    engine: str = DEFAULT_ENGINE,
 ) -> Fig15Result:
     """Area-optimised MASCOT variants: IPC delta vs storage (Fig. 15)."""
-    predictors = ["mascot", "mascot-opt", "mascot-opt-tag2",
-                  "mascot-opt-tag4", "mascot-opt-tag6"]
+    predictors = list(FIG15_PREDICTORS)
     suite = run_ipc_suite(predictors, benchmarks, num_uops,
-                          baseline="mascot", jobs=jobs, cache=cache,
+                          baseline=FIG15_BASELINE, jobs=jobs, cache=cache,
                           policy=policy, journal=journal, resume=resume,
-                          metrics=metrics, backend=backend)
+                          metrics=metrics, backend=backend, engine=engine)
     sizes = {
         "mascot": MASCOT_DEFAULT.storage_kib,
         "mascot-opt": MASCOT_OPT.storage_kib,

@@ -271,7 +271,11 @@ class ResultCache:
         """
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            probe = self.directory / f".probe-{os.getpid()}"
+            # Unique per call, like write_atomic's temp files: threads of
+            # one process probing one directory must not unlink each
+            # other's probe.
+            probe = self.directory / (
+                f".probe-{os.getpid()}.{next(_TMP_SEQUENCE)}")
             probe.write_text("ok")
             probe.unlink()
         except OSError as error:
@@ -449,7 +453,11 @@ def cell_key(spec) -> str:
             "f1_period": spec.f1_period,
             "track_f1": spec.track_f1,
             "telemetry": spec.telemetry,
-            "engine": getattr(spec, "engine", "scalar"),
+            # Timing cells only: the two engines are bit-identical, but
+            # keying the engine keeps ``--engine scalar`` an independent
+            # cross-check rather than a cache hit.  Accuracy cells run no
+            # timing engine.
+            "engine": spec.engine if spec.mode == "timing" else None,
             # Sampled cells are keyed by the full policy: any knob change
             # (interval length, k bound, warmup, seed, CI parameters)
             # selects different regions or reconstructs differently, so it

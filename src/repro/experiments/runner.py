@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..analysis.accuracy import AccuracyStats, classify
 from ..analysis.f1 import F1Recorder, RankedF1Profile
 from ..core.config import GOLDEN_COVE, CoreConfig
-from ..core.pipeline import Pipeline
+from ..core.engines import DEFAULT_ENGINE, TIMING_ENGINES, pipeline_class
 from ..core.stats import PipelineStats
 from ..predictors.base import ActualOutcome, MDPredictor
 from ..predictors.mascot import Mascot
@@ -36,6 +36,7 @@ __all__ = [
     "run_timing",
     "DEFAULT_TRACE_LENGTH",
     "TIMING_ENGINES",
+    "DEFAULT_ENGINE",
 ]
 
 #: Default dynamic trace length per benchmark.  Chosen so a full-suite,
@@ -269,17 +270,11 @@ def _prune(mapping: Dict[int, int], current_seq: int,
         del mapping[seq]
 
 
-#: Timing-engine registry: ``scalar`` is the reference event-at-a-time
-#: pipeline; ``batched`` the two-phase columnar engine proven bit-identical
-#: by the golden equivalence tier (tests/equivalence/).
-TIMING_ENGINES = ("scalar", "batched")
-
-
 def run_timing(
     trace: Sequence[MicroOp],
     predictor: Optional[MDPredictor],
     config: CoreConfig = GOLDEN_COVE,
-    engine: str = "scalar",
+    engine: str = DEFAULT_ENGINE,
     measure_from: int = 0,
     sampling: Optional[SamplingPolicy] = None,
     predictor_factory: Optional[Callable[[], MDPredictor]] = None,
@@ -287,9 +282,10 @@ def run_timing(
 ) -> PipelineStats:
     """Run the out-of-order timing model; returns its statistics.
 
-    ``engine`` selects the implementation: ``"scalar"`` (the reference
-    :class:`~repro.core.pipeline.Pipeline`) or ``"batched"`` (the
-    bit-identical :class:`~repro.core.batched.BatchedPipeline`).
+    ``engine`` selects the implementation: ``"batched"`` (the default,
+    :class:`~repro.core.batched.BatchedPipeline`) or ``"scalar"`` (the
+    bit-identical reference :class:`~repro.core.pipeline.Pipeline`); see
+    :mod:`repro.core.engines`.
     ``measure_from`` designates a warmup prefix excluded from measurement.
     ``hierarchy`` supplies a pre-built (possibly pre-warmed)
     :class:`~repro.memory.hierarchy.MemoryHierarchy` instead of the cold
@@ -302,11 +298,7 @@ def run_timing(
     predictor per region, so ``predictor_factory`` is required (and
     ``predictor`` ignored — pass None).
     """
-    if engine not in TIMING_ENGINES:
-        raise ValueError(
-            f"unknown timing engine {engine!r}; known: "
-            + ", ".join(TIMING_ENGINES)
-        )
+    engine_cls = pipeline_class(engine)
     if sampling is not None:
         if predictor_factory is None:
             raise ValueError(
@@ -327,10 +319,5 @@ def run_timing(
         ).stats
     if predictor is None:
         raise ValueError("full-trace runs need a predictor instance")
-    if engine == "batched":
-        from ..core.batched import BatchedPipeline
-        return BatchedPipeline(predictor, config=config,
-                               hierarchy=hierarchy).run(
-            trace, measure_from=measure_from)
-    return Pipeline(predictor, config=config, hierarchy=hierarchy).run(
+    return engine_cls(predictor, config=config, hierarchy=hierarchy).run(
         trace, measure_from=measure_from)

@@ -23,7 +23,7 @@ Submission body (JSON object)::
      "benchmarks": [...],              # default: the full suite
      "num_uops": 30000,                # default: DEFAULT_TRACE_LENGTH
      "warmup": 0,                      # accuracy only; default uops//4
-     "engine": "scalar" | "batched",   # timing only
+     "engine": "batched" | "scalar",   # timing only; default batched
      "retries": 0, "cell_timeout": null,
      "keep_going": true}               # false: first failure aborts
 
@@ -63,7 +63,7 @@ from ..obs.metrics import MetricsWriter
 from ..trace.profiles import suite_names
 from .resilience import DEFAULT_POLICY, CellFailure, ResiliencePolicy
 from .result_cache import encode_result, write_atomic
-from .runner import DEFAULT_TRACE_LENGTH
+from .runner import DEFAULT_ENGINE, DEFAULT_TRACE_LENGTH, TIMING_ENGINES
 
 __all__ = [
     "SubmissionError",
@@ -133,8 +133,8 @@ class SubmissionSpec:
         if not isinstance(warmup, int) or warmup < 0:
             raise SubmissionError("warmup must be a non-negative integer")
         self.warmup = warmup if self.mode == "accuracy" else 0
-        self.engine = body.get("engine", "scalar")
-        if self.engine not in ("scalar", "batched"):
+        self.engine = body.get("engine", DEFAULT_ENGINE)
+        if self.engine not in TIMING_ENGINES:
             raise SubmissionError(f"unknown engine {self.engine!r}")
         retries = body.get("retries", DEFAULT_POLICY.retries)
         if not isinstance(retries, int) or retries < 0:

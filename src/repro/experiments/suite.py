@@ -38,7 +38,7 @@ from .parallel import (
     execute_cells,
 )
 from .resilience import CellFailure, ResiliencePolicy
-from .runner import DEFAULT_TRACE_LENGTH, PredictionRunResult
+from .runner import DEFAULT_ENGINE, DEFAULT_TRACE_LENGTH, PredictionRunResult
 
 __all__ = [
     "PREDICTOR_FACTORIES",
@@ -152,7 +152,7 @@ def run_ipc_suite(
     resume: ResumeSpec = None,
     metrics: MetricsSpec = None,
     backend: BackendSpec = None,
-    engine: str = "scalar",
+    engine: str = DEFAULT_ENGINE,
     sampling: Optional[SamplingPolicy] = None,
 ) -> IpcSuiteResult:
     """Timing-mode sweep; the baseline is added automatically if missing.
@@ -165,8 +165,8 @@ def run_ipc_suite(
     for the in-process pool, ``"host:port,..."`` for ``repro worker``
     endpoints (see :func:`~repro.experiments.parallel.execute_cells`).  The grid is
     bit-identical for every ``jobs`` value and cache state — and, by the
-    golden equivalence tier, for either ``engine`` (``"scalar"`` reference
-    pipeline or the faster ``"batched"`` engine).
+    golden equivalence tier, for either ``engine`` (the default
+    ``"batched"`` engine or the ``"scalar"`` reference pipeline).
 
     ``sampling`` runs every cell sampled under the given policy: only the
     selected regions are simulated and each cell's stats carry

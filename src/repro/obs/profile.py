@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..core.config import GOLDEN_COVE, CoreConfig
-from ..core.pipeline import Pipeline
+from ..core.engines import DEFAULT_ENGINE, pipeline_class
 from ..core.stats import PipelineStats
 from .cycles import CYCLE_CATEGORIES, CycleStack
 from .telemetry import TableTelemetry
@@ -164,6 +164,7 @@ def profile_cell(
     slice-level observations, not full-run estimates.  The returned
     report has *not* been validated — callers decide whether an
     invariant violation is fatal (the CLI exits non-zero; tests assert).
+    The cell runs on the default timing engine (:mod:`repro.core.engines`).
     """
     from ..experiments.runner import default_cache
     from ..experiments.suite import make_predictor
@@ -204,7 +205,8 @@ def profile_cell(
         measure_from = num_uops // 4
     predictor = make_predictor(predictor_name)
     sink = predictor.attach_telemetry(TableTelemetry())
-    pipeline = Pipeline(predictor, config=config, accounting=True)
+    pipeline = pipeline_class(DEFAULT_ENGINE)(predictor, config=config,
+                                              accounting=True)
     stats = pipeline.run(trace, measure_from=measure_from)
     return ProfileReport(
         benchmark=benchmark,

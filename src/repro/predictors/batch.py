@@ -30,13 +30,13 @@ unless they opt in themselves.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.accuracy import OutcomeKind, classify
 from ..common.bitops import fold_bits, mask
-from ..common.foldplan import BranchStream, FoldPlan, path_series
+from ..common.foldplan import BranchStream, FoldPlan, key_rows, path_series
 from ..common.foldvec import FoldVector
 from ..common.hashing import mix64
 from ..trace.columns import BYPASS_BY_CODE
@@ -129,7 +129,7 @@ class FastBank:
                  "_index_bits", "_imask", "_tmask", "_idx_slot", "_tag_slot",
                  "_tag2_slot", "_pmask", "_pc_cache", "_path_memo",
                  "_path_value", "_path_bpb_mask", "_path_bpb", "_path_wmask",
-                 "rows_idx", "rows_tag", "_plan", "_path_final")
+                 "rows", "_plan", "_path_final")
 
     def __init__(self, bank: TableBank) -> None:
         self.bank = bank
@@ -168,8 +168,8 @@ class FastBank:
         self._path_bpb = bank.path._bits_per_branch
         self._path_bpb_mask = mask(self._path_bpb)
         self._path_wmask = mask(bank.path.width)
-        self.rows_idx: Optional[List[Tuple[int, ...]]] = None
-        self.rows_tag: Optional[List[Tuple[int, ...]]] = None
+        self.rows: Optional[Iterator[Tuple[Tuple[int, ...],
+                                           Tuple[int, ...]]]] = None
         self._plan: Optional[FoldPlan] = None
         self._path_final = 0
 
@@ -181,9 +181,10 @@ class FastBank:
 
         ``load_pc`` / ``cond_before`` / ``ind_before`` describe the trace's
         loads in order (PC and the number of conditional / indirect branch
-        events preceding each).  After priming, :attr:`rows_idx` /
-        :attr:`rows_tag` hold one key tuple per load and the per-event
-        history updates become no-ops.  Returns False (leaving the
+        events preceding each).  After priming, :attr:`rows` yields one
+        (index tuple, tag tuple) pair per load, in load order (see
+        :func:`~repro.common.foldplan.key_rows`), and the per-event history
+        updates become no-ops.  Returns False (leaving the
         incremental path active) if the fold invariant check fails.
         """
         bits, _ = stream.mixed()
@@ -206,8 +207,8 @@ class FastBank:
         pcv = load_pc >> 1
         n_loads = int(load_pc.shape[0])
         zeros = None
-        icols: List[List[int]] = []
-        tcols: List[List[int]] = []
+        icols: List[np.ndarray] = []
+        tcols: List[np.ndarray] = []
         for t, table in enumerate(self.bank.tables):
             ib = self._index_bits[t]
             tb = table.tag_bits
@@ -224,8 +225,8 @@ class FastBank:
                 zeros if zeros is not None else np.zeros(n_loads,
                                                          dtype=np.int64))
             if self._static[t]:
-                icols.append((base_i & imask).tolist())
-                tcols.append((base_t & tmask).tolist())
+                icols.append(base_i & imask)
+                tcols.append(base_t & tmask)
                 continue
             if ib > 0:
                 p = path_at_load & self._pmask[t]
@@ -242,10 +243,10 @@ class FastBank:
             vt = series[self._tag_slot[t]][k_push]
             vt2 = series[self._tag2_slot[t]][k_push]
             tt = (base_t ^ vt ^ (vt2 << 1)) & tmask
-            icols.append(ii.tolist())
-            tcols.append(tt.tolist())
-        self.rows_idx = list(zip(*icols))
-        self.rows_tag = list(zip(*tcols))
+            icols.append(ii)
+            tcols.append(tt)
+        plan.drop_series()
+        self.rows = key_rows(icols, tcols)
         return True
 
     def _build_pc(self, pc: int) -> Tuple[List[int], List[int]]:
@@ -382,7 +383,7 @@ class MascotSession:
     __slots__ = ("p", "fb", "_sets", "_nt", "_ppt", "_sink", "_useful_max",
                  "_bypass_max", "_distance_max", "_smb", "_alloc_nondeps",
                  "_alloc_u_dep", "_alloc_u_nondep", "_track_f1", "_decay",
-                 "_sup_code", "_byp_code", "_j")
+                 "_sup_code", "_byp_code")
 
     def __init__(self, p: Mascot) -> None:
         self.p = p
@@ -407,7 +408,6 @@ class MascotSession:
         self._sup_code = tuple(bc in supported for bc in BYPASS_BY_CODE)
         bypassable = p.bypassable_classes
         self._byp_code = tuple(bc in bypassable for bc in BYPASS_BY_CODE)
-        self._j = 0
 
     def prime(self, stream: BranchStream, load_pc: np.ndarray,
               cond_before: np.ndarray, ind_before: np.ndarray) -> None:
@@ -427,12 +427,9 @@ class MascotSession:
                       bypass_code: int):
         p = self.p
         fb = self.fb
-        rows = fb.rows_idx
+        rows = fb.rows
         if rows is not None:
-            j = self._j
-            self._j = j + 1
-            idx = rows[j]
-            tags = fb.rows_tag[j]
+            idx, tags = next(rows)
         else:
             fb.compute_keys(uop.pc)
             idx = fb.idx
@@ -609,7 +606,7 @@ class PhastSession:
 
     __slots__ = ("p", "fb", "_sets", "_nt", "_ppt", "_sink", "_useful_max",
                  "_lru_max", "_distance_max", "_alloc_usefulness",
-                 "_hist_lengths", "_byp_code", "_j")
+                 "_hist_lengths", "_byp_code")
 
     def __init__(self, p: Phast) -> None:
         self.p = p
@@ -625,7 +622,6 @@ class PhastSession:
         self._hist_lengths = p.history_lengths
         bypassable = p.bypassable_classes
         self._byp_code = tuple(bc in bypassable for bc in BYPASS_BY_CODE)
-        self._j = 0
 
     def prime(self, stream: BranchStream, load_pc: np.ndarray,
               cond_before: np.ndarray, ind_before: np.ndarray) -> None:
@@ -644,12 +640,9 @@ class PhastSession:
                       store_pc: Optional[int], a_dist: int,
                       bypass_code: int):
         fb = self.fb
-        rows = fb.rows_idx
+        rows = fb.rows
         if rows is not None:
-            j = self._j
-            self._j = j + 1
-            idx = rows[j]
-            tags = fb.rows_tag[j]
+            idx, tags = next(rows)
         else:
             fb.compute_keys(uop.pc)
             idx = fb.idx
@@ -771,7 +764,7 @@ class NoSQSession:
     __slots__ = ("p", "fv", "_hist_slot", "_tag_slot", "_imask", "_tmask",
                  "_ibits", "_tables", "_sink", "_smb_conf", "_conf_max",
                  "_dist_max", "_lru_max", "_byp_code", "_pc_cache",
-                 "_plan", "_keys", "_j")
+                 "_plan", "_keys")
 
     def __init__(self, p: NoSQ) -> None:
         self.p = p
@@ -791,8 +784,7 @@ class NoSQSession:
         self._byp_code = tuple(bc in bypassable for bc in BYPASS_BY_CODE)
         self._pc_cache: Dict[int, Tuple[int, int, int]] = {}
         self._plan: Optional[FoldPlan] = None
-        self._keys: Optional[List[Tuple[int, int, int, int]]] = None
-        self._j = 0
+        self._keys: Optional[Iterator[Tuple[int, int, int, int]]] = None
 
     def prime(self, stream: BranchStream, load_pc: np.ndarray,
               cond_before: np.ndarray, ind_before: np.ndarray) -> None:
@@ -806,12 +798,13 @@ class NoSQSession:
         pcv = load_pc >> 1
         vi = plan.series[self._hist_slot][k_push]
         vt = plan.series[self._tag_slot][k_push]
-        self._keys = list(zip(
-            ((pcv ^ vi) & self._imask).tolist(),
-            ((pcv ^ vt) & self._tmask).tolist(),
-            (pcv & self._imask).tolist(),
-            ((pcv >> self._ibits) & self._tmask).tolist(),
-        ))
+        plan.drop_series()
+        self._keys = key_rows(
+            (pcv ^ vi) & self._imask,
+            (pcv ^ vt) & self._tmask,
+            pcv & self._imask,
+            (pcv >> self._ibits) & self._tmask,
+        )
 
     def on_branch(self, pc: int, taken: bool) -> None:
         if self._plan is None:
@@ -829,9 +822,7 @@ class NoSQSession:
                       bypass_code: int):
         keys = self._keys
         if keys is not None:
-            j = self._j
-            self._j = j + 1
-            dep_index, dep_tag, ind_index, ind_tag = keys[j]
+            dep_index, dep_tag, ind_index, ind_tag = next(keys)
         else:
             pc = uop.pc
             c = self._pc_cache.get(pc)

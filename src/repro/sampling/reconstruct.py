@@ -49,6 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.accuracy import AccuracyStats
 from ..core.config import GOLDEN_COVE, CoreConfig
+from ..core.engines import DEFAULT_ENGINE, pipeline_class
 from ..core.stats import PipelineStats
 from ..predictors.base import MDPredictor
 from ..trace.simpoints import Interval, rebase_interval
@@ -203,7 +204,7 @@ def run_sampled_timing(
     predictor_factory: Callable[[], MDPredictor],
     policy: SamplingPolicy,
     config: CoreConfig = GOLDEN_COVE,
-    engine: str = "scalar",
+    engine: str = DEFAULT_ENGINE,
     selection: Optional[RegionSelection] = None,
     accounting: bool = False,
 ) -> SampledTiming:
@@ -233,12 +234,9 @@ def run_sampled_timing(
         warm_start = region.start - warmup
         hierarchy = _warm_hierarchy_at(config, index, warm_start)
         if accounting:
-            if engine == "batched":
-                from ..core.batched import BatchedPipeline as engine_cls
-            else:
-                from ..core.pipeline import Pipeline as engine_cls
-            pipe = engine_cls(predictor_factory(), config=config,
-                              hierarchy=hierarchy, accounting=True)
+            pipe = pipeline_class(engine)(
+                predictor_factory(), config=config, hierarchy=hierarchy,
+                accounting=True)
             region_stats.append(pipe.run(piece, measure_from=warmup))
             region_stacks.append(pipe.cycle_stack)
         else:

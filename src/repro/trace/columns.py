@@ -1,11 +1,11 @@
 """Columnar (struct-of-arrays) view of a micro-op trace.
 
-The batched engine (:mod:`repro.core.batched`) does not iterate
-:class:`~repro.trace.uop.MicroOp` objects on its hot path; it consumes
-per-field numpy columns precomputed once per trace.  :class:`TraceColumns`
-is that view: one array per scalar field, with ``-1`` sentinels standing in
-for ``None`` (``addr_src``, ``dep_store_seq``) and small integer codes for
-the two enums.
+The batched engine (:mod:`repro.core.batched`), region selection and
+functional warmup do their whole-trace work on per-field numpy columns.
+:class:`TraceColumns` is that view: one array per scalar field, with ``-1``
+sentinels standing in for ``None`` (``addr_src``, ``dep_store_seq``) and
+small integer codes for the two enums.  Each column is built from the
+trace the first time it is read.
 
 The columns are derived data — they add no information beyond the trace —
 so they are memoised by *identity* in a small bounded cache
@@ -19,7 +19,9 @@ list object, which matches how traces are treated everywhere else
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from operator import attrgetter
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,67 +46,69 @@ _MEMO_CAPACITY = 4
 _MEMO: List[Tuple[Sequence[MicroOp], "TraceColumns"]] = []
 
 
-class TraceColumns:
-    """Numpy columns for one trace, plus cached plain-list views.
+def _seq_or_sentinel(seq: Optional[int]) -> int:
+    return -1 if seq is None else seq
 
-    The numpy arrays serve vectorised work (event-index extraction,
-    measured-count reductions); the ``.lists()`` views serve the
-    per-uop timing loop, where native ``int`` elements avoid the cost of
-    materialising ``np.int64`` scalars on every read.
+
+class _Column:
+    """A numpy column of one :class:`MicroOp` field, built on first read.
+
+    A non-data descriptor: the built array is stored in the instance
+    ``__dict__`` under the field's name, which shadows the descriptor
+    from then on (the ``functools.cached_property`` protocol).
     """
 
-    __slots__ = (
-        "n", "op", "pc", "address", "size", "taken", "target",
-        "addr_src", "dep_store_seq", "store_distance", "bypass",
-        "src_count", "srcs", "_lists",
-    )
+    def __init__(self, dtype, convert=None) -> None:
+        self.dtype = dtype
+        self.convert = convert
+        self.name = ""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, cols: Optional["TraceColumns"], owner=None):
+        if cols is None:
+            return self
+        values = map(attrgetter(self.name), cols._trace)
+        if self.convert is not None:
+            values = map(self.convert, values)
+        array = np.fromiter(values, dtype=self.dtype, count=cols.n)
+        cols.__dict__[self.name] = array
+        return array
+
+
+class TraceColumns:
+    """Numpy columns for one trace, each built on first read.
+
+    The arrays serve vectorised work (event-index extraction, key
+    priming, measured-count reductions); the per-uop loops of the batched
+    engine read a micro-op's own fields, or ``.tolist()`` views of the
+    small-code columns.  Building a column only when some consumer reads
+    it keeps memoised columns to the few that consumer needs.
+    """
+
+    op = _Column(np.int8, OP_CODES.__getitem__)
+    pc = _Column(np.int64)
+    address = _Column(np.int64)
+    size = _Column(np.int32)
+    taken = _Column(np.bool_)
+    target = _Column(np.int64)
+    addr_src = _Column(np.int64, _seq_or_sentinel)
+    dep_store_seq = _Column(np.int64, _seq_or_sentinel)
+    store_distance = _Column(np.int32)
+    bypass = _Column(np.int8, BYPASS_CODES.__getitem__)
 
     def __init__(self, trace: Sequence[MicroOp]) -> None:
-        n = len(trace)
-        self.n = n
-        op = np.empty(n, dtype=np.int8)
-        pc = np.empty(n, dtype=np.int64)
-        address = np.empty(n, dtype=np.int64)
-        size = np.empty(n, dtype=np.int32)
-        taken = np.empty(n, dtype=np.bool_)
-        target = np.empty(n, dtype=np.int64)
-        addr_src = np.empty(n, dtype=np.int64)
-        dep_store_seq = np.empty(n, dtype=np.int64)
-        store_distance = np.empty(n, dtype=np.int32)
-        bypass = np.empty(n, dtype=np.int8)
-        src_count = np.empty(n, dtype=np.int16)
-        srcs: List[Tuple[int, ...]] = [()] * n
+        self._trace = trace
+        self.n = len(trace)
 
-        op_codes = OP_CODES
-        bypass_codes = BYPASS_CODES
-        for i, uop in enumerate(trace):
-            op[i] = op_codes[uop.op]
-            pc[i] = uop.pc
-            address[i] = uop.address
-            size[i] = uop.size
-            taken[i] = uop.taken
-            target[i] = uop.target
-            addr_src[i] = -1 if uop.addr_src is None else uop.addr_src
-            dep_store_seq[i] = (-1 if uop.dep_store_seq is None
-                                else uop.dep_store_seq)
-            store_distance[i] = uop.store_distance
-            bypass[i] = bypass_codes[uop.bypass]
-            src_count[i] = len(uop.srcs)
-            srcs[i] = uop.srcs
+    @cached_property
+    def srcs(self) -> List[Tuple[int, ...]]:
+        return list(map(attrgetter("srcs"), self._trace))
 
-        self.op = op
-        self.pc = pc
-        self.address = address
-        self.size = size
-        self.taken = taken
-        self.target = target
-        self.addr_src = addr_src
-        self.dep_store_seq = dep_store_seq
-        self.store_distance = store_distance
-        self.bypass = bypass
-        self.src_count = src_count
-        self.srcs = srcs
-        self._lists = None
+    @cached_property
+    def src_count(self) -> np.ndarray:
+        return np.fromiter(map(len, self.srcs), dtype=np.int16, count=self.n)
 
     # -- construction ----------------------------------------------------------
 
@@ -136,31 +140,6 @@ class TraceColumns:
         _MEMO.clear()
 
     # -- views -----------------------------------------------------------------
-
-    def lists(self):
-        """Plain-list views of the scalar columns (cached).
-
-        Returns a dict of column name -> list of native python ints/bools.
-        The timing loop indexes these instead of the numpy arrays: list
-        indexing yields interned small ints rather than ``np.int64``
-        scalars, which would otherwise contaminate downstream arithmetic
-        and slow every operation on the hot path.
-        """
-        if self._lists is None:
-            self._lists = {
-                "op": self.op.tolist(),
-                "pc": self.pc.tolist(),
-                "address": self.address.tolist(),
-                "size": self.size.tolist(),
-                "taken": self.taken.tolist(),
-                "target": self.target.tolist(),
-                "addr_src": self.addr_src.tolist(),
-                "dep_store_seq": self.dep_store_seq.tolist(),
-                "store_distance": self.store_distance.tolist(),
-                "bypass": self.bypass.tolist(),
-                "src_count": self.src_count.tolist(),
-            }
-        return self._lists
 
     def indices_of(self, *ops: OpClass) -> np.ndarray:
         """Sorted sequence numbers of all uops with one of the given classes."""

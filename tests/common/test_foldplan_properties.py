@@ -19,7 +19,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.bitops import fold_bits, mask
-from repro.common.foldplan import BranchStream, FoldPlan, path_series
+from repro.common.foldplan import (
+    BranchStream,
+    FoldPlan,
+    iter_ints,
+    key_rows,
+    path_series,
+)
 from repro.common.foldvec import FoldVector
 from repro.common.history import (
     INDIRECT_TARGET_BITS,
@@ -80,6 +86,26 @@ class TestFoldPlan:
         fv = FoldVector(ghist)
         oracle = FoldVector(ghist)
         plan = FoldPlan(fv, np.asarray(pushed, dtype=np.int64))
+        for bit in pushed:
+            oracle.push_bit(bit)
+
+        plan.finalize()
+        assert fv.values == oracle.values
+        assert fv.bits(MAX_BITS) == oracle.bits(MAX_BITS)
+
+    @given(specs=fold_specs_st,
+           prior=st.lists(bit_st, max_size=MAX_BITS + 8),
+           pushed=st.lists(bit_st, max_size=96))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_finalize_after_drop_series(self, specs, prior, pushed):
+        # Primed sessions drop the series once their keys exist; the
+        # end state must not depend on it.
+        ghist = _seeded_history(prior, specs)
+        fv = FoldVector(ghist)
+        oracle = FoldVector(ghist)
+        plan = FoldPlan(fv, np.asarray(pushed, dtype=np.int64))
+        plan.drop_series()
+        assert all(len(col) == 1 for col in plan.series)
         for bit in pushed:
             oracle.push_bit(bit)
 
@@ -210,3 +236,33 @@ class TestBranchStream:
         assert stream.mixed() is stream.mixed()
         assert stream.cond_only() is stream.cond_only()
         assert stream.ind_only() is stream.ind_only()
+
+
+class TestKeyRows:
+    @given(n=st.integers(min_value=0, max_value=40),
+           tables=st.integers(min_value=1, max_value=4),
+           block=st.integers(min_value=1, max_value=9))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_rows_match_whole_run_tuples(self, n, tables, block):
+        # The block-wise rows equal what a whole-run zip of the .tolist()
+        # columns would give, whatever the block size.
+        rng = np.random.default_rng(n * 31 + tables)
+        idx = [rng.integers(0, 1 << 12, n) for _ in range(tables)]
+        tag = [rng.integers(0, 1 << 12, n) for _ in range(tables)]
+        base = rng.integers(0, 1 << 12, n)
+        expected = list(zip(
+            zip(*[c.tolist() for c in idx]),
+            zip(*[c.tolist() for c in tag]),
+            base.tolist(),
+        ))
+        rows = list(key_rows(idx, tag, base, block=block))
+        assert rows == expected
+        assert all(type(v) is int for row in rows for v in row[0] + row[1])
+        assert all(type(row[2]) is int for row in rows)
+
+    @given(n=st.integers(min_value=0, max_value=40),
+           block=st.integers(min_value=1, max_value=9))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_iter_ints_is_tolist(self, n, block):
+        values = np.arange(n, dtype=np.int64) * 7
+        assert list(iter_ints(values, block=block)) == values.tolist()

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.batched import BatchedPipeline
 from repro.core.pipeline import Pipeline
 from repro.core.timeline import Timeline, UopTiming
+from repro.experiments.suite import make_predictor
 from repro.predictors.perfect import PerfectMDP
 
 from tests.conftest import small_trace
@@ -96,3 +98,33 @@ class TestRender:
             timeline.render(-1, 5)
         with pytest.raises(ValueError):
             timeline.render(0, 10_000_000)
+
+
+class TestBatchedCapture:
+    """The batched engine keeps whole-run issue/commit times only when it
+    records a timeline; the recorded timeline must match the scalar one."""
+
+    @pytest.mark.parametrize("measure_from", [0, 1000])
+    def test_matches_scalar_timeline(self, measure_from):
+        trace = small_trace("perlbench1", 4000)
+        timelines = []
+        for engine_cls in (Pipeline, BatchedPipeline):
+            pipeline = engine_cls(make_predictor("mascot"),
+                                  record_timeline=True)
+            pipeline.run(trace, measure_from=measure_from)
+            timeline = pipeline.timeline(trace)
+            timelines.append([timeline[i] for i in range(len(timeline))])
+        assert timelines[0] == timelines[1]
+
+    def test_disabled_by_default(self):
+        pipeline = BatchedPipeline(PerfectMDP())
+        pipeline.run(small_trace("exchange2", 2000))
+        with pytest.raises(RuntimeError):
+            pipeline.timeline()
+
+    def test_single_use(self):
+        trace = small_trace("exchange2", 2000)
+        pipeline = BatchedPipeline(PerfectMDP())
+        pipeline.run(trace)
+        with pytest.raises(RuntimeError):
+            pipeline.run(trace)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import GOLDEN_COVE, LION_COVE, BatchedPipeline, Pipeline
+from repro.experiments.figures import TIMING_FIGURE_GRIDS
 from repro.experiments.suite import PREDICTOR_FACTORIES, make_predictor
 from repro.obs.telemetry import TableTelemetry
 from repro.trace.fixture_cache import cached_trace
@@ -37,7 +38,9 @@ from repro.trace.profiles import suite_names
 NUM_UOPS = 6_000
 MEASURE_FROM = 1_500
 
-#: Fast tier-1 subset: each predictor family and both workload shapes.
+#: Fast tier-1 subset on Golden Cove: each predictor family, both
+#: workload shapes, and every predictor a timing figure runs (the
+#: coverage gate below keeps it that way).
 FAST_CELLS = [
     ("perlbench1", "mascot"),
     ("perlbench1", "nosq"),
@@ -47,7 +50,28 @@ FAST_CELLS = [
     ("exchange2", "store-sets"),
     ("exchange2", "tage-mdp"),
     ("mcf", "idist+store-sets"),
+    ("mcf", "perfect-mdp"),
+    ("exchange2", "mascot-mdp"),
+    ("perlbench1", "tage-no-nd"),
+    ("lbm", "tage-no-nd-mdp"),
+    ("mcf", "mascot-opt-tag2"),
+    ("exchange2", "mascot-opt-tag4"),
+    ("perlbench1", "mascot-opt-tag6"),
 ]
+
+#: Lion Cove cells: a second core whose window/port geometry stresses the
+#: phase-B structural modelling, with every predictor Fig. 12 runs there.
+LION_COVE_CELLS = [
+    ("perlbench1", "mascot"),
+    ("perlbench1", "perfect-mdp-smb"),
+    ("perlbench1", "perfect-mdp"),
+]
+
+#: (predictor, core name) pairs the tier-1 golden cells cover.
+GOLDEN_PAIRS = frozenset(
+    [(predictor, GOLDEN_COVE.name) for _, predictor in FAST_CELLS]
+    + [(predictor, LION_COVE.name) for _, predictor in LION_COVE_CELLS]
+)
 
 
 def _run(engine_cls, trace, predictor_name, config):
@@ -106,9 +130,8 @@ class TestFastSubset:
         assert_cell_identical(bench, predictor)
 
     def test_lion_cove_core(self):
-        # A second core config: different window/port geometry stresses
-        # the phase-B structural modelling.
-        assert_cell_identical("perlbench1", "mascot", config=LION_COVE)
+        for bench, predictor in LION_COVE_CELLS:
+            assert_cell_identical(bench, predictor, config=LION_COVE)
 
     def test_whole_trace_measurement_window(self):
         # measure_from=0 exercises the no-warmup path in both engines.
@@ -117,6 +140,25 @@ class TestFastSubset:
             predictor = make_predictor("mascot")
             stats = engine_cls(predictor, GOLDEN_COVE).run(trace)
             assert stats.instructions == 4_000
+
+
+class TestFigureCoverage:
+    """Every timing figure runs on the batched engine by default, so the
+    tier-1 golden cells must cover each (predictor, core) pair of every
+    timing figure's grid."""
+
+    @pytest.mark.parametrize("figure", sorted(TIMING_FIGURE_GRIDS))
+    def test_figure_grid_covered(self, figure):
+        predictors, cores = TIMING_FIGURE_GRIDS[figure]
+        missing = sorted(
+            (predictor, core.name) for predictor in predictors
+            for core in cores
+            if (predictor, core.name) not in GOLDEN_PAIRS
+        )
+        assert not missing, (
+            f"{figure} runs (predictor, core) pairs the tier-1 golden "
+            f"cells do not cover: {missing}"
+        )
 
 
 @pytest.mark.slow

@@ -50,6 +50,15 @@ class TestTraceColumns:
                     f"{bench} uop {uop.seq}: field {field!r} mangled"
                 )
 
+    def test_columns_are_built_on_first_read(self):
+        trace = cached_trace("perlbench1", 64)
+        cols = TraceColumns.from_trace(trace)
+        assert "address" not in vars(cols)
+        address = cols.address
+        assert vars(cols)["address"] is address
+        assert cols.address is address
+        assert address.tolist() == [uop.address for uop in trace]
+
     def test_ensure_memoises_by_identity(self):
         trace = cached_trace("perlbench1", 64)
         assert TraceColumns.ensure(trace) is TraceColumns.ensure(trace)

@@ -211,6 +211,23 @@ class TestFigure:
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
 
+    def test_engine_defaults_to_batched(self):
+        from repro.cli import _build_parser
+
+        for argv in (["figure", "fig7"], ["simulate", "lbm", "mascot"],
+                     ["compare", "mascot"]):
+            assert _build_parser().parse_args(argv).engine == "batched"
+
+    def test_fig7_engines_print_identical_tables(self, capsys):
+        outputs = []
+        for engine in ("batched", "scalar"):
+            assert main(["figure", "fig7", "--benchmarks", "lbm",
+                         "--uops", "3000", "--no-cache", "--no-journal",
+                         "--engine", engine]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "Fig. 7" in outputs[0]
+        assert outputs[0] == outputs[1]
+
 
 class TestSizes:
     def test_prints_table2(self, capsys):

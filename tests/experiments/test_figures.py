@@ -203,3 +203,61 @@ class TestPartialGridAnnotation:
             BENCHES, N, policy=ResiliencePolicy(fail_fast=False))
         assert len(result.failures) == 1
         assert "WARNING" in result.render()
+
+
+class _SpySuite:
+    """Stand-in IPC suite result: every geomean is 1."""
+
+    failures: dict = {}
+
+    def geomean(self, predictor):
+        return 1.0
+
+
+class TestTimingFigureGrids:
+    """Each timing figure runs exactly its declared grid, on the engine it
+    is given (the grid the golden coverage gate checks)."""
+
+    TIMING_FIGURES = {
+        "fig7": figures.fig7_ipc_full,
+        "fig9": figures.fig9_ipc_mdp_only,
+        "fig11": figures.fig11_ablation,
+        "fig12": figures.fig12_future_architectures,
+        "fig15": figures.fig15_mascot_opt,
+    }
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def run_ipc_suite(predictors, benchmarks=None, num_uops=0,
+                          config=GOLDEN_COVE, baseline="perfect-mdp",
+                          engine=None, **kwargs):
+            calls.append((baseline, tuple(predictors), config, engine))
+            return _SpySuite()
+
+        def run_accuracy_suite(predictors, *args, **kwargs):
+            return {name: {} for name in predictors}
+
+        monkeypatch.setattr(figures, "run_ipc_suite", run_ipc_suite)
+        monkeypatch.setattr(figures, "run_accuracy_suite",
+                            run_accuracy_suite)
+        return calls
+
+    def test_every_timing_figure_has_a_declared_grid(self):
+        assert set(self.TIMING_FIGURES) == set(figures.TIMING_FIGURE_GRIDS)
+
+    @pytest.mark.parametrize("name", sorted(TIMING_FIGURES))
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_runs_declared_grid_on_given_engine(self, calls, name, engine):
+        self.TIMING_FIGURES[name](BENCHES, N, engine=engine)
+        predictors, cores = figures.TIMING_FIGURE_GRIDS[name]
+        run = {(p, config.name) for baseline, names, config, _ in calls
+               for p in (baseline, *names)}
+        assert run == {(p, core.name) for p in predictors for core in cores}
+        assert {used for *_, used in calls} == {engine}
+
+    @pytest.mark.parametrize("name", sorted(TIMING_FIGURES))
+    def test_default_engine_is_batched(self, calls, name):
+        self.TIMING_FIGURES[name](BENCHES, N)
+        assert {used for *_, used in calls} == {"batched"}

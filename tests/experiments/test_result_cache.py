@@ -7,6 +7,7 @@ worse than a cache miss.
 
 import dataclasses
 import json
+import threading
 
 import pytest
 
@@ -81,6 +82,23 @@ class TestCellKey:
         assert fp_default["config"] != fp_opt["config"]
         assert (cell_key(BASE)
                 != cell_key(_variant(predictor="mascot-opt")))
+
+    def test_timing_engine_changes_key(self):
+        # --engine scalar must recompute, not hit the batched entry: it is
+        # the independent cross-check of the default engine.
+        batched = _variant(mode="timing", config=GOLDEN_COVE)
+        scalar = _variant(mode="timing", config=GOLDEN_COVE,
+                          engine="scalar")
+        assert batched.engine == "batched"
+        assert cell_key(batched) != cell_key(scalar)
+
+    def test_accuracy_cells_ignore_engine(self):
+        # Accuracy cells run no timing engine; both spellings are one cell.
+        assert cell_key(BASE) == cell_key(_variant(engine="scalar"))
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError, match="unknown timing engine"):
+            _variant(engine="quantum")
 
     def test_keys_are_filename_safe_hex(self):
         key = cell_key(BASE)
@@ -285,6 +303,30 @@ class TestProbeWritable:
         blocker.write_text("x")
         error = ResultCache(blocker / "sub").probe_writable()
         assert error is not None
+
+    def test_concurrent_probes_of_one_directory(self, tmp_path):
+        # Threads of one process share a pid; a probe named after the
+        # pid alone lets one thread unlink another's probe file, which
+        # then reports a writable directory as not writable.
+        cache = ResultCache(tmp_path / "shared")
+        threads, rounds = 8, 200
+        barrier = threading.Barrier(threads)
+        errors = []
+
+        def probe():
+            barrier.wait()
+            for _ in range(rounds):
+                error = cache.probe_writable()
+                if error is not None:
+                    errors.append(error)
+
+        workers = [threading.Thread(target=probe) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert errors == []
+        assert list(cache.directory.iterdir()) == []
 
 
 class TestDefaultDir:

@@ -52,13 +52,18 @@ class TestSubmissionSpec:
     def test_timing_cells_carry_core_windows(self):
         sub = SubmissionSpec({"mode": "timing", "predictors": ["nosq"],
                               "benchmarks": ["lbm"], "num_uops": 2_000,
-                              "engine": "batched"})
+                              "engine": "scalar"})
         (cell,) = sub.cells
         assert cell.mode == "timing"
         assert cell.store_window == GOLDEN_COVE.sb_size
         assert cell.instr_window == GOLDEN_COVE.rob_size
-        assert cell.engine == "batched"
+        assert cell.engine == "scalar"
         assert cell.warmup == 0  # warmup is an accuracy-mode knob
+
+    def test_timing_engine_defaults_to_batched(self):
+        sub = SubmissionSpec({"mode": "timing", "predictors": ["nosq"],
+                              "benchmarks": ["lbm"], "num_uops": 2_000})
+        assert [cell.engine for cell in sub.cells] == ["batched"]
 
     def test_keep_going_false_means_fail_fast(self):
         sub = SubmissionSpec(dict(GRID, keep_going=False))
