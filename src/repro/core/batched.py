@@ -45,7 +45,7 @@ import numpy as np
 
 from ..analysis.accuracy import OutcomeKind
 from ..branch.tage import TAGEBranchPredictor
-from ..common.foldplan import BranchStream, iter_ints
+from ..common.foldplan import iter_ints
 from ..memory.hierarchy import MemoryHierarchy
 from ..obs.cycles import CycleStack
 from ..predictors.base import MDPredictor
@@ -53,6 +53,7 @@ from ..predictors.batch import (
     OUTCOME_BY_CODE,
     OUTCOME_CODES,
     PRED_KIND_BY_CODE,
+    prime_session,
 )
 from ..trace.columns import OP_BY_CODE, OP_CODES, TraceColumns
 from ..trace.uop import MicroOp, OpClass
@@ -149,6 +150,7 @@ class BatchedPipeline:
         cfg = self.config
         stats = self.stats
         session = self.predictor.batch_session()
+        stream = prime_session(session, cols)
         bsession = self.branch_predictor.batch_session()
         bstats = self.branch_predictor.stats
 
@@ -158,25 +160,6 @@ class BatchedPipeline:
             OpClass.BRANCH_COND, OpClass.BRANCH_INDIRECT,
         )
         ev_seqs = iter_ints(ev_idx)
-
-        # Whole-run history/key precomputation: the architectural branch
-        # stream is a pure function of the trace, so sessions that support
-        # priming vectorise their fold registers and table keys up front.
-        bseqs = cols.indices_of(OpClass.BRANCH_COND, OpClass.BRANCH_INDIRECT)
-        bkind = (cols.op[bseqs] == _OP_BI).astype(np.int64)
-        bval = np.where(
-            bkind == 0,
-            cols.taken[bseqs].astype(np.int64),
-            cols.target[bseqs],
-        )
-        stream = BranchStream(bkind, cols.pc[bseqs].astype(np.int64), bval)
-        load_seqs = cols.indices_of(OpClass.LOAD)
-        prime = getattr(session, "prime", None)
-        if prime is not None:
-            cond_before = np.searchsorted(bseqs[bkind == 0], load_seqs)
-            ind_before = np.searchsorted(bseqs[bkind == 1], load_seqs)
-            prime(stream, cols.pc[load_seqs].astype(np.int64),
-                  cond_before, ind_before)
         bprime = getattr(bsession, "prime", None)
         if bprime is not None:
             bprime(stream)

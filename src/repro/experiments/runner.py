@@ -4,8 +4,14 @@ Two evaluation modes (DESIGN.md §5):
 
 * :func:`run_prediction_only` replays a trace through a predictor in
   program order — predict at decode, train at commit, history hooks on
-  every branch — and classifies every load.  Fast; used for the accuracy
-  figures (2, 8, 10, 13, 14).
+  every branch — and classifies every load.  It drives the predictor's
+  fused batch session (:mod:`repro.predictors.batch`), primed for the
+  trace by the same :func:`~repro.predictors.batch.prime_session` as
+  Phase A of the batched engine, so each load costs one ``predict_train``
+  call.  Its ground-truth training hints (``branches_between`` and
+  ``store_pc``) follow its own rule, not the timing model's store-window
+  membership (see :func:`_prune`).  Used for the accuracy figures (2, 8,
+  10, 13, 14).
 * :func:`run_timing` runs the full out-of-order pipeline for IPC
   (figures 7, 9, 11, 12, 15).
 
@@ -18,14 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.accuracy import AccuracyStats, classify
+from ..analysis.accuracy import AccuracyStats
 from ..analysis.f1 import F1Recorder, RankedF1Profile
+from ..common.foldplan import iter_ints
 from ..core.config import GOLDEN_COVE, CoreConfig
 from ..core.engines import DEFAULT_ENGINE, TIMING_ENGINES, pipeline_class
 from ..core.stats import PipelineStats
-from ..predictors.base import ActualOutcome, MDPredictor
+from ..predictors.base import MDPredictor
+from ..predictors.batch import OUTCOME_BY_CODE, PRED_KIND_BY_CODE, prime_session
 from ..predictors.mascot import Mascot
 from ..sampling.policy import SamplingPolicy
+from ..trace.columns import BYPASS_CODE_BY_VALUE, OP_CODES, TraceColumns
 from ..trace.generator import generate_trace
 from ..trace.uop import MicroOp, OpClass
 
@@ -43,6 +52,10 @@ __all__ = [
 #: all-predictor sweep completes in minutes in pure Python while giving the
 #: predictors thousands of dynamic instances per static load.
 DEFAULT_TRACE_LENGTH = 80_000
+
+_OP_LOAD = OP_CODES[OpClass.LOAD]
+_OP_STORE = OP_CODES[OpClass.STORE]
+_OP_BRANCH_COND = OP_CODES[OpClass.BRANCH_COND]
 
 
 class TraceCache:
@@ -191,45 +204,66 @@ def run_prediction_only(
 
         sink = predictor.attach_telemetry(TableTelemetry())
 
-    stats = AccuracyStats()
+    cols = TraceColumns.ensure(trace)
+    session = predictor.batch_session()
+    prime_session(session, cols)
+    on_branch = session.on_branch
+    on_indirect = session.on_indirect
+    on_store = session.on_store
+    predict_train = session.predict_train
+
+    # Outcome/kind counters by int code, folded into AccuracyStats after
+    # the loop (list indexing beats enum hashing on the hot path).
+    oc_counts = [0] * len(OUTCOME_BY_CODE)
+    kc_counts = [0] * len(PRED_KIND_BY_CODE)
     branch_count = 0
     store_branch: Dict[int, int] = {}
     store_pc: Dict[int, int] = {}
 
-    for uop in trace:
-        op = uop.op
-        if op is OpClass.BRANCH_COND:
-            predictor.on_branch(uop.pc, uop.taken)
-            branch_count += 1
-        elif op is OpClass.BRANCH_INDIRECT:
-            predictor.on_indirect(uop.pc, uop.target)
-            branch_count += 1
-        elif uop.is_store:
-            predictor.on_store(uop)
-            store_branch[uop.seq] = branch_count
-            store_pc[uop.seq] = uop.pc
-            if len(store_branch) > 4096:
-                _prune(store_branch, uop.seq)
-                _prune(store_pc, uop.seq)
-        elif uop.is_load:
-            prediction = predictor.predict(uop)
+    # Only predictor-visible events are visited, by their int op codes.
+    events = cols.indices_of(OpClass.LOAD, OpClass.STORE,
+                             OpClass.BRANCH_COND, OpClass.BRANCH_INDIRECT)
+    for index, code in zip(iter_ints(events), iter_ints(cols.op[events])):
+        uop = trace[index]
+        if code == _OP_LOAD:
+            distance = uop.store_distance
             branches_between = 0
             pc_of_store = None
-            if uop.has_dependence:
+            if distance > 0:
+                dep = uop.dep_store_seq
                 branches_between = branch_count - store_branch.get(
-                    uop.dep_store_seq, branch_count
-                )
-                pc_of_store = store_pc.get(uop.dep_store_seq)
-            actual = ActualOutcome.from_uop(
-                uop, branches_between=branches_between, store_pc=pc_of_store
-            )
+                    dep, branch_count)
+                pc_of_store = store_pc.get(dep)
+            kind, _, _, _, outcome = predict_train(
+                uop, branches_between, pc_of_store, distance,
+                BYPASS_CODE_BY_VALUE[uop.bypass._value_])
             if uop.seq >= warmup:
-                stats.record(classify(prediction, actual,
-                                      predictor.bypassable_classes))
-            predictor.train(uop, prediction, actual)
+                oc_counts[outcome] += 1
+                kc_counts[kind] += 1
             if recorder is not None:
                 recorder.tick()
+        elif code == _OP_STORE:
+            on_store(uop)
+            seq = uop.seq
+            store_branch[seq] = branch_count
+            store_pc[seq] = uop.pc
+            if len(store_branch) > 4096:
+                _prune(store_branch, seq)
+                _prune(store_pc, seq)
+        elif code == _OP_BRANCH_COND:
+            on_branch(uop.pc, uop.taken)
+            branch_count += 1
+        else:
+            on_indirect(uop.pc, uop.target)
+            branch_count += 1
+    session.finish()
 
+    stats = AccuracyStats()
+    for code, count in enumerate(oc_counts):
+        stats.outcome_counts[OUTCOME_BY_CODE[code]] += count
+    for code, count in enumerate(kc_counts):
+        stats.prediction_counts[PRED_KIND_BY_CODE[code]] += count
+    stats.loads = sum(kc_counts)
     # The measured-instruction denominator is exactly the post-warmup
     # region.  A warmup covering the whole trace measures nothing:
     # zero instructions, zero loads (not a phantom instruction that

@@ -25,7 +25,9 @@ Every session honours the attached :class:`TelemetrySink` with exactly the
 scalar call pattern.  Sessions are selected via
 ``MDPredictor.batch_session()``; subclasses of a zoo predictor fall back to
 :class:`GenericMDSession` (which drives the real ``predict``/``train``)
-unless they opt in themselves.
+unless they opt in themselves.  Both replay loops (Phase A of the batched
+engine and prediction-only replay) prime their sessions for a trace
+through :func:`prime_session`.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from ..common.bitops import fold_bits, mask
 from ..common.foldplan import BranchStream, FoldPlan, key_rows, path_series
 from ..common.foldvec import FoldVector
 from ..common.hashing import mix64
-from ..trace.columns import BYPASS_BY_CODE
-from ..trace.uop import BypassClass, MicroOp
+from ..trace.columns import BYPASS_BY_CODE, OP_CODES, TraceColumns
+from ..trace.uop import BypassClass, MicroOp, OpClass
 from .base import ActualOutcome, MDPredictor, PredictionKind
 from .mascot import Mascot, MascotEntry
 from .nosq import NoSQ, NoSQEntry
@@ -52,7 +54,7 @@ __all__ = [
     "KIND_NO_DEP", "KIND_MDP", "KIND_SMB", "PRED_KIND_BY_CODE",
     "OUTCOME_BY_CODE", "OUTCOME_CODES", "classify_fast",
     "FastBank", "GenericMDSession", "MascotSession", "PhastSession",
-    "NoSQSession", "StoreSetsSession", "make_session",
+    "NoSQSession", "StoreSetsSession", "make_session", "prime_session",
 ]
 
 #: Integer prediction-kind codes used on the session wire format.
@@ -82,6 +84,8 @@ _OC_SMB_NOT_BYP = OUTCOME_CODES[OutcomeKind.SMB_NOT_BYPASSABLE]
 
 #: classify()'s fixed store-distance comparison cap.
 _DISTANCE_CAP = 127
+
+_OP_BI = OP_CODES[OpClass.BRANCH_INDIRECT]
 
 
 def classify_fast(kind_code: int, p_dist: int, p_seq: Optional[int],
@@ -1086,3 +1090,30 @@ def make_session(predictor: MDPredictor):
     if tp is StoreSets:
         return StoreSetsSession(predictor)
     return GenericMDSession(predictor)
+
+
+def prime_session(session, cols: TraceColumns) -> BranchStream:
+    """Prime ``session`` for the trace behind ``cols``; returns its branches.
+
+    The architectural branch stream is a pure function of the trace, so
+    sessions that support priming vectorise their fold registers and table
+    keys up front (see :meth:`FastBank.prime`); others are left as they
+    are.  The returned :class:`~repro.common.foldplan.BranchStream` can
+    prime further sessions (the branch predictor's).
+    """
+    bseqs = cols.indices_of(OpClass.BRANCH_COND, OpClass.BRANCH_INDIRECT)
+    bkind = (cols.op[bseqs] == _OP_BI).astype(np.int64)
+    bval = np.where(
+        bkind == 0,
+        cols.taken[bseqs].astype(np.int64),
+        cols.target[bseqs],
+    )
+    stream = BranchStream(bkind, cols.pc[bseqs].astype(np.int64), bval)
+    prime = getattr(session, "prime", None)
+    if prime is not None:
+        load_seqs = cols.indices_of(OpClass.LOAD)
+        cond_before = np.searchsorted(bseqs[bkind == 0], load_seqs)
+        ind_before = np.searchsorted(bseqs[bkind == 1], load_seqs)
+        prime(stream, cols.pc[load_seqs].astype(np.int64),
+              cond_before, ind_before)
+    return stream

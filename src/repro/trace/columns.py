@@ -28,7 +28,7 @@ import numpy as np
 from .uop import BypassClass, MicroOp, OpClass
 
 __all__ = ["OP_CODES", "OP_BY_CODE", "BYPASS_CODES", "BYPASS_BY_CODE",
-           "TraceColumns"]
+           "BYPASS_CODE_BY_VALUE", "TraceColumns"]
 
 #: Stable integer codes for :class:`OpClass`, ordered by enum definition.
 OP_CODES = {op: i for i, op in enumerate(OpClass)}
@@ -37,6 +37,12 @@ OP_BY_CODE = tuple(OpClass)
 #: Stable integer codes for :class:`BypassClass`.
 BYPASS_CODES = {bc: i for i, bc in enumerate(BypassClass)}
 BYPASS_BY_CODE = tuple(BypassClass)
+
+#: Codes keyed by enum *value*: a member's ``_value_`` is a plain
+#: attribute with a C-level string hash, where looking the member itself
+#: up runs ``Enum.__hash__`` in Python on every call.
+_OP_CODE_BY_VALUE = {op.value: code for op, code in OP_CODES.items()}
+BYPASS_CODE_BY_VALUE = {bc.value: code for bc, code in BYPASS_CODES.items()}
 
 #: Bounded identity-keyed memo: list of (trace, columns) pairs, newest last.
 #: Safe across pool workers: a columnisation is a pure function of the
@@ -56,20 +62,24 @@ class _Column:
     A non-data descriptor: the built array is stored in the instance
     ``__dict__`` under the field's name, which shadows the descriptor
     from then on (the ``functools.cached_property`` protocol).
+    ``attribute`` is the (possibly dotted) path read from each micro-op;
+    it defaults to the column's own name.
     """
 
-    def __init__(self, dtype, convert=None) -> None:
+    def __init__(self, dtype, convert=None, attribute: str = "") -> None:
         self.dtype = dtype
         self.convert = convert
+        self.attribute = attribute
         self.name = ""
 
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
+        self.attribute = self.attribute or name
 
     def __get__(self, cols: Optional["TraceColumns"], owner=None):
         if cols is None:
             return self
-        values = map(attrgetter(self.name), cols._trace)
+        values = map(attrgetter(self.attribute), cols._trace)
         if self.convert is not None:
             values = map(self.convert, values)
         array = np.fromiter(values, dtype=self.dtype, count=cols.n)
@@ -87,7 +97,7 @@ class TraceColumns:
     it keeps memoised columns to the few that consumer needs.
     """
 
-    op = _Column(np.int8, OP_CODES.__getitem__)
+    op = _Column(np.int8, _OP_CODE_BY_VALUE.__getitem__, "op._value_")
     pc = _Column(np.int64)
     address = _Column(np.int64)
     size = _Column(np.int32)
@@ -96,7 +106,8 @@ class TraceColumns:
     addr_src = _Column(np.int64, _seq_or_sentinel)
     dep_store_seq = _Column(np.int64, _seq_or_sentinel)
     store_distance = _Column(np.int32)
-    bypass = _Column(np.int8, BYPASS_CODES.__getitem__)
+    bypass = _Column(np.int8, BYPASS_CODE_BY_VALUE.__getitem__,
+                     "bypass._value_")
 
     def __init__(self, trace: Sequence[MicroOp]) -> None:
         self._trace = trace

@@ -68,13 +68,25 @@ class StoreRecord:
 
 
 class DependenceTracker:
-    """Sliding window of recent dynamic stores with byte-granular lookup.
+    """Sliding window of recent dynamic stores, indexed by address chunk.
 
     ``window`` bounds how many older stores can be "in flight" relative to a
     load; the Golden Cove configuration uses its 114-entry store buffer.
-    Lookup walks the window youngest-first and returns the first (youngest)
-    overlapping store, matching store-queue forwarding semantics.
+    Every store is listed, in store order, under each 8-byte-aligned chunk
+    of memory it writes.  A lookup visits only the load's own chunks,
+    youngest store first, and returns the youngest overlapping in-flight
+    store, matching store-queue forwarding semantics.  Any store that
+    shares a byte with the load shares that byte's chunk, so no other
+    store can overlap.
+
+    Stores that have left the window stay listed until a lookup reaches
+    them or a periodic sweep (every :attr:`sweep_period` stores) drops
+    them, which bounds the index to a few windows' worth of stores.
+    Stores must be recorded with increasing sequence numbers.
     """
+
+    #: log2 of the index's address-chunk size in bytes.
+    CHUNK_SHIFT = 3
 
     def __init__(self, window: int = 114, instr_window: int = 512):
         if window <= 0:
@@ -83,11 +95,9 @@ class DependenceTracker:
             raise ValueError("instruction window must be positive")
         self.window = window
         self.instr_window = instr_window
-        self._stores: List[StoreRecord] = []
+        self.sweep_period = 4 * window
+        self._chunks: Dict[int, List[StoreRecord]] = {}
         self._store_count = 0
-        # Byte -> index into a recency list would be over-engineering for the
-        # window sizes involved (~100); a reverse linear scan of the window is
-        # simple and fast enough, and trivially correct.
 
     @property
     def store_count(self) -> int:
@@ -98,21 +108,41 @@ class DependenceTracker:
         """Register a dynamic store micro-op."""
         if not uop.is_store:
             raise ValueError(f"uop {uop.seq} is not a store")
-        record = StoreRecord(uop.seq, self._store_count, uop.address, uop.size)
-        self._store_count += 1
-        self._stores.append(record)
-        if len(self._stores) > self.window:
-            del self._stores[0 : len(self._stores) - self.window]
-        return record
+        return self.record_raw_store(uop.seq, uop.address, uop.size)
 
     def record_raw_store(self, seq: int, address: int, size: int) -> StoreRecord:
         """Register a store without constructing a MicroOp (generator fast path)."""
+        if size <= 0:
+            raise ValueError("access sizes must be positive")
         record = StoreRecord(seq, self._store_count, address, size)
         self._store_count += 1
-        self._stores.append(record)
-        if len(self._stores) > self.window:
-            del self._stores[0 : len(self._stores) - self.window]
+        chunks = self._chunks
+        shift = self.CHUNK_SHIFT
+        for chunk in range(address >> shift,
+                           ((address + size - 1) >> shift) + 1):
+            bucket = chunks.get(chunk)
+            if bucket is None:
+                chunks[chunk] = [record]
+            else:
+                bucket.append(record)
+        if self._store_count % self.sweep_period == 0:
+            self._sweep()
         return record
+
+    def _sweep(self) -> None:
+        """Drop every store that has left the window from the index."""
+        oldest = self._store_count - self.window
+        chunks = self._chunks
+        for chunk in list(chunks):
+            bucket = chunks[chunk]
+            if not bucket or bucket[-1].store_number < oldest:
+                del chunks[chunk]
+                continue
+            dead = 0
+            while bucket[dead].store_number < oldest:
+                dead += 1
+            if dead:
+                del bucket[:dead]
 
     def find_dependence(
         self, load_addr: int, load_size: int, load_seq: int
@@ -133,16 +163,36 @@ class DependenceTracker:
         means the immediately preceding store, exactly the store-queue
         offset encoding of Sec. IV-B.
         """
-        for idx in range(len(self._stores) - 1, -1, -1):
-            store = self._stores[idx]
-            if load_seq - store.seq > self.instr_window:
-                break  # older entries are even further away
-            cls = classify_overlap(store.address, store.size, load_addr, load_size)
-            if cls is not BypassClass.NONE:
-                distance = self._store_count - store.store_number
-                return distance, store, cls
-        return 0, None, BypassClass.NONE
+        if load_size <= 0:
+            raise ValueError("access sizes must be positive")
+        oldest = self._store_count - self.window
+        min_seq = load_seq - self.instr_window
+        load_end = load_addr + load_size
+        best: Optional[StoreRecord] = None
+        chunks = self._chunks
+        shift = self.CHUNK_SHIFT
+        for chunk in range(load_addr >> shift, ((load_end - 1) >> shift) + 1):
+            bucket = chunks.get(chunk)
+            if bucket is None:
+                continue
+            for i in range(len(bucket) - 1, -1, -1):
+                store = bucket[i]
+                if store.store_number < oldest:
+                    del bucket[:i + 1]  # it and everything older has left
+                    break
+                if store.seq < min_seq or (
+                        best is not None
+                        and store.store_number <= best.store_number):
+                    break  # older entries are further away still
+                if store.address < load_end and load_addr < (
+                        store.address + store.size):
+                    best = store
+                    break
+        if best is None:
+            return 0, None, BypassClass.NONE
+        cls = classify_overlap(best.address, best.size, load_addr, load_size)
+        return self._store_count - best.store_number, best, cls
 
     def reset(self) -> None:
-        self._stores.clear()
+        self._chunks.clear()
         self._store_count = 0

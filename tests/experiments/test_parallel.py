@@ -122,6 +122,27 @@ class TestExecuteCells:
             CellSpec(mode="accuracy", benchmark="lbm", num_uops=1,
                      predictor="phast", track_f1=True)
 
+    def test_cell_record_names_engine_and_sampling(self):
+        from repro.sampling.policy import SamplingPolicy
+
+        timing = CellSpec(mode="timing", benchmark="lbm", num_uops=100,
+                          predictor="mascot", config=LION_COVE,
+                          engine="scalar")
+        sampled = CellSpec(mode="timing", benchmark="lbm", num_uops=10_000,
+                           predictor="mascot", config=LION_COVE,
+                           sampling=SamplingPolicy(interval_length=2_500))
+        accuracy = CellSpec(mode="accuracy", benchmark="lbm", num_uops=100,
+                            predictor="mascot")
+        fields = [
+            (record["engine"], record["sampled"])
+            for record in (parallel._cell_record(spec, None, "computed", 1,
+                                                 0.5)
+                           for spec in (timing, sampled, accuracy))
+        ]
+        assert fields == [("scalar", False),
+                          (parallel.DEFAULT_ENGINE, True),
+                          (None, False)]
+
     def test_specs_are_picklable(self):
         import pickle
         spec = CellSpec(mode="timing", benchmark="lbm", num_uops=100,

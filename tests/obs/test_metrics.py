@@ -54,6 +54,9 @@ class TestSuiteMetrics:
         assert {r["benchmark"] for r in cells} == {"exchange2", "lbm"}
         assert all(r["status"] == "ok" and r["duration_s"] >= 0
                    for r in cells)
+        # Accuracy cells run no timing model, so they name no engine.
+        assert [(r["engine"], r["sampled"]) for r in cells] == [
+            (None, False), (None, False)]
         (sweep,) = [r for r in records if r["event"] == "sweep"]
         assert sweep["cells"] == 2
         assert sweep["computed"] == 2
