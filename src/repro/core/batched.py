@@ -18,13 +18,12 @@ and **Phase B** — a monolithic timing loop over the trace, with the
 scalar code's dict/deque scoreboards replaced by rings and per-uop plain
 lists.
 
-Memory is bounded to what the loops read: whole-trace vectorised work
-uses the lazily built :class:`~repro.trace.columns.TraceColumns`, Phase
-A's primed table keys are materialised a block of loads at a time, both
-loops read a micro-op's other fields from its own :class:`MicroOp` rather
-than from whole-trace list copies, and Phase B keeps issue and commit
-times only for the IQ / ROB window its dispatch reads (every uop's times
-only when a timeline is recorded).
+Both loops read the trace's :class:`~repro.trace.columns.TraceColumns`
+only; neither builds a :class:`MicroOp`.  Memory is bounded to what the
+loops read: Phase A's primed table keys and both loops' per-event fields
+are materialised from the columns a block at a time, and Phase B keeps
+issue and commit times only for the IQ / ROB window its dispatch reads
+(every uop's times only when a timeline is recorded).
 
 Phase A mirrors the scalar :class:`~repro.core.lsu.StoreWindow` membership
 (same capacity, same eviction order) so store-distance/seq resolution and
@@ -45,7 +44,6 @@ import numpy as np
 
 from ..analysis.accuracy import OutcomeKind
 from ..branch.tage import TAGEBranchPredictor
-from ..common.foldplan import iter_ints
 from ..memory.hierarchy import MemoryHierarchy
 from ..obs.cycles import CycleStack
 from ..predictors.base import MDPredictor
@@ -129,17 +127,13 @@ class BatchedPipeline:
             )
         self._ran = True
         cols = TraceColumns.ensure(trace)
-        # Op codes as a plain list: list indexing yields ints, where numpy
-        # indexing would make an ``np.int64`` on every read.
-        op_l = cols.op.tolist()
-        phase_a = self._phase_a(trace, cols, op_l, measure_from)
-        self._phase_b(trace, cols, op_l, measure_from, phase_a)
+        phase_a = self._phase_a(cols, measure_from)
+        self._phase_b(cols, measure_from, phase_a)
         return self.stats
 
     # -------------------------------------------------- phase A: predictors
 
-    def _phase_a(self, trace: Sequence[MicroOp], cols: TraceColumns,
-                 op_l: List[int], measure_from: int):
+    def _phase_a(self, cols: TraceColumns, measure_from: int):
         """Replay the predictor-visible event stream in trace order.
 
         Returns the per-event decision lists Phase B consumes.  All
@@ -154,12 +148,13 @@ class BatchedPipeline:
         bsession = self.branch_predictor.batch_session()
         bstats = self.branch_predictor.stats
 
-        byp_l = cols.bypass.tolist()
         ev_idx = cols.indices_of(
             OpClass.LOAD, OpClass.STORE,
             OpClass.BRANCH_COND, OpClass.BRANCH_INDIRECT,
         )
-        ev_seqs = iter_ints(ev_idx)
+        events = cols.iter_rows(ev_idx, "seq", "op", "pc", "taken", "target",
+                                "dep_store_seq", "store_distance", "bypass")
+        pc_of = cols.pc.item
         bprime = getattr(bsession, "prime", None)
         if bprime is not None:
             bprime(stream)
@@ -205,24 +200,21 @@ class BatchedPipeline:
         b_on_branch = bsession.on_branch
         b_on_indirect = bsession.on_indirect
 
-        for seq in ev_seqs:
+        for seq, code, pc, taken, target, dep, distance, byp in events:
             if not warm_done and seq >= measure_from:
                 warm_mispredicts = bstats.mispredictions
                 warm_indirect = bstats.indirect_mispredictions
                 warm_done = True
-            code = op_l[seq]
-            uop = trace[seq]
             if code == op_load:
-                dep = uop.dep_store_seq
-                present = dep is not None and dep in member
+                present = dep in member
                 if present:
                     bb = branch_count - store_branch[dep]
-                    spc = trace[dep].pc
+                    spc = pc_of(dep)
                 else:
                     bb = 0
                     spc = None
                 kind, p_seq, p_dist, conservative, ok_code = s_predict_train(
-                    uop, bb, spc, uop.store_distance, byp_l[seq]
+                    seq, pc, dep, bb, spc, distance, byp
                 )
                 tgt = -1
                 if kind:
@@ -241,7 +233,7 @@ class BatchedPipeline:
                     kc_counts[kind] += 1
                     acc_loads += 1
             elif code == op_store:
-                oseq = s_on_store(uop)
+                oseq = s_on_store(seq, pc)
                 st_ordering.append(
                     oseq if (oseq is not None and oseq in member) else -1
                 )
@@ -251,12 +243,12 @@ class BatchedPipeline:
                 if len(recent) > cap:
                     member.discard(recent.popleft())
             elif code == op_bc:
-                br_correct.append(b_on_branch(uop.pc, uop.taken))
-                s_on_branch(uop.pc, uop.taken)
+                br_correct.append(b_on_branch(pc, taken))
+                s_on_branch(pc, taken)
                 branch_count += 1
             else:  # BRANCH_INDIRECT
-                br_correct.append(b_on_indirect(uop.pc, uop.target))
-                s_on_indirect(uop.pc, uop.target)
+                br_correct.append(b_on_indirect(pc, target))
+                s_on_indirect(pc, target)
                 branch_count += 1
 
         if not warm_done:
@@ -292,13 +284,22 @@ class BatchedPipeline:
 
     # ------------------------------------------------------ phase B: timing
 
-    def _phase_b(self, trace: Sequence[MicroOp], cols: TraceColumns,
-                 op_l: List[int], measure_from: int, phase_a) -> None:
+    def _phase_b(self, cols: TraceColumns, measure_from: int,
+                 phase_a) -> None:
         """Monolithic timing loop — the scalar constraint chain, inlined."""
         (ld_kind, ld_target, ld_conservative, ld_smb_ok, ld_present,
          st_ordering, br_correct) = phase_a
         cfg = self.config
         n = cols.n
+        # Op codes as a plain list: list indexing yields ints, where numpy
+        # indexing would make an ``np.int64`` on every read.  The fields
+        # only memory ops read stream in load / store order, a block at a
+        # time.
+        op_l = cols.op.tolist()
+        ld_fields = cols.iter_rows(cols.indices_of(OpClass.LOAD), "addr_src",
+                                   "dep_store_seq", "pc", "address")
+        st_fields = cols.iter_rows(cols.indices_of(OpClass.STORE),
+                                   "addr_src", "address")
 
         fetch_width = cfg.fetch_width
         frontend = cfg.frontend_latency
@@ -401,8 +402,7 @@ class BatchedPipeline:
         op_bi = _OP_BI
         op_div = _OP_DIV
 
-        for seq in range(n):
-            code = op_l[seq]
+        for seq, code, srcs in zip(range(n), op_l, cols.iter_srcs()):
             measuring = seq >= measure_from
 
             # -- fetch (width + redirect barrier) --
@@ -441,8 +441,6 @@ class BatchedPipeline:
 
             # -- source readiness --
             ready = 0
-            uop = trace[seq]
-            srcs = uop.srcs
             for src in srcs:
                 t = value_ready[src]
                 if t > ready:
@@ -477,11 +475,11 @@ class BatchedPipeline:
                 complete = issue + alu_lat
                 value = complete
             elif is_load:
+                asrc, dep, pc, address = next(ld_fields)
                 kind = ld_kind[li]
                 tgt = ld_target[li]
                 a = d1
-                asrc = uop.addr_src
-                if asrc is not None:
+                if asrc >= 0:
                     t = value_ready[asrc]
                     if t > a:
                         a = t
@@ -501,9 +499,8 @@ class BatchedPipeline:
                 issue = pool_issue(load_free, wait_until)
                 if accounting:
                     port_from = wait_until
-                dep = uop.dep_store_seq
                 squash_at = 0  # 0 = no squash (cycle 0 is never a squash)
-                if dep is not None and ld_present[li]:
+                if ld_present[li]:
                     dep_addr = st_addr[dep]
                     if issue < dep_addr:
                         squash_at = dep_addr + 1
@@ -516,7 +513,7 @@ class BatchedPipeline:
                         complete = t + fwd_lat
                     elif enforce_drain and issue > st_drain[dep]:
                         complete = timed_load(
-                            uop.pc, uop.address, issue + agu_lat - 1
+                            pc, address, issue + agu_lat - 1
                         )
                     else:
                         if measuring:
@@ -528,7 +525,7 @@ class BatchedPipeline:
                         complete = t + fwd_lat
                 else:
                     complete = timed_load(
-                        uop.pc, uop.address, issue + agu_lat - 1
+                        pc, address, issue + agu_lat - 1
                     )
                 value = complete
                 if kind == 2 and tgt >= 0:
@@ -562,9 +559,9 @@ class BatchedPipeline:
                     acct_exec = "squash" if squash_at else "memory"
                 li += 1
             elif is_store:
+                asrc, address = next(st_fields)
                 a = d1
-                asrc = uop.addr_src
-                if asrc is not None:
+                if asrc >= 0:
                     t = value_ready[asrc]
                     if t > a:
                         a = t
@@ -582,7 +579,7 @@ class BatchedPipeline:
                             else data_avail)
                 if accounting:
                     port_from = a
-                store_probe(uop.address)
+                store_probe(address)
                 st_addr[seq] = addr_resolve
                 st_data[seq] = data_avail
                 value = complete

@@ -24,6 +24,7 @@ between predictor schemes on the same trace is the quantity of interest.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Optional, Sequence
 
 from ..analysis.accuracy import DEFAULT_BYPASSABLE, Outcome, OutcomeKind, classify
@@ -215,11 +216,12 @@ class Pipeline:
         # full-run mispredictions with measured-window uop counts).
         bstats = self.branch_predictor.stats
         step = self._step
-        for uop in trace[:measure_from]:
+        uops = iter(trace)
+        for uop in islice(uops, measure_from):
             step(uop)
         warm_mispredicts = bstats.mispredictions
         warm_indirect = bstats.indirect_mispredictions
-        for uop in trace[measure_from:]:
+        for uop in uops:
             step(uop)
         measured = len(trace) - measure_from
         self.stats.instructions = measured

@@ -27,10 +27,12 @@ generators:
   to inline serial execution after repeated breakages), and — under
   ``fail_fast=False`` — :class:`~repro.experiments.resilience.CellFailure`
   placeholders merged positionally so callers render partial grids.
-* **Trace reuse** — workers share the process-global
+* **Trace reuse** — each process keeps its own
   :class:`~repro.experiments.runner.TraceCache`, so a worker that computes
-  several cells of the same benchmark generates the trace once (and a
-  forked worker inherits traces already generated by the parent).
+  several cells of the same benchmark generates the trace once.  The
+  coordinator generates no trace before dispatch, so every pool worker
+  regenerates each trace its cells touch: a ``jobs=2`` grid over three
+  benchmarks generates each trace twice (docs/performance.md).
 * **Result caching** — an optional on-disk
   :class:`~repro.experiments.result_cache.ResultCache` is consulted before
   any work is dispatched and populated afterwards, so a warm sweep

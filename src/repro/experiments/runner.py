@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.accuracy import AccuracyStats
 from ..analysis.f1 import F1Recorder, RankedF1Profile
-from ..common.foldplan import iter_ints
 from ..core.config import GOLDEN_COVE, CoreConfig
 from ..core.engines import DEFAULT_ENGINE, TIMING_ENGINES, pipeline_class
 from ..core.stats import PipelineStats
@@ -34,7 +33,7 @@ from ..predictors.base import MDPredictor
 from ..predictors.batch import OUTCOME_BY_CODE, PRED_KIND_BY_CODE, prime_session
 from ..predictors.mascot import Mascot
 from ..sampling.policy import SamplingPolicy
-from ..trace.columns import BYPASS_CODE_BY_VALUE, OP_CODES, TraceColumns
+from ..trace.columns import OP_CODES, ColumnarTrace, TraceColumns
 from ..trace.generator import generate_trace
 from ..trace.uop import MicroOp, OpClass
 
@@ -62,7 +61,7 @@ class TraceCache:
     """Memoises generated traces keyed by all generation parameters."""
 
     def __init__(self) -> None:
-        self._traces: Dict[Tuple, List[MicroOp]] = {}
+        self._traces: Dict[Tuple, ColumnarTrace] = {}
 
     def get(
         self,
@@ -72,7 +71,7 @@ class TraceCache:
         trace_seed: int = 1,
         store_window: int = 114,
         instr_window: int = 512,
-    ) -> List[MicroOp]:
+    ) -> ColumnarTrace:
         key = (benchmark, num_uops, program_seed, trace_seed,
                store_window, instr_window)
         trace = self._traces.get(key)
@@ -220,41 +219,38 @@ def run_prediction_only(
     store_branch: Dict[int, int] = {}
     store_pc: Dict[int, int] = {}
 
-    # Only predictor-visible events are visited, by their int op codes.
+    # Only predictor-visible events are visited, reading the columns.
     events = cols.indices_of(OpClass.LOAD, OpClass.STORE,
                              OpClass.BRANCH_COND, OpClass.BRANCH_INDIRECT)
-    for index, code in zip(iter_ints(events), iter_ints(cols.op[events])):
-        uop = trace[index]
+    for seq, code, pc, taken, target, dep, distance, byp in cols.iter_rows(
+            events, "seq", "op", "pc", "taken", "target", "dep_store_seq",
+            "store_distance", "bypass"):
         if code == _OP_LOAD:
-            distance = uop.store_distance
             branches_between = 0
             pc_of_store = None
             if distance > 0:
-                dep = uop.dep_store_seq
                 branches_between = branch_count - store_branch.get(
                     dep, branch_count)
                 pc_of_store = store_pc.get(dep)
             kind, _, _, _, outcome = predict_train(
-                uop, branches_between, pc_of_store, distance,
-                BYPASS_CODE_BY_VALUE[uop.bypass._value_])
-            if uop.seq >= warmup:
+                seq, pc, dep, branches_between, pc_of_store, distance, byp)
+            if seq >= warmup:
                 oc_counts[outcome] += 1
                 kc_counts[kind] += 1
             if recorder is not None:
                 recorder.tick()
         elif code == _OP_STORE:
-            on_store(uop)
-            seq = uop.seq
+            on_store(seq, pc)
             store_branch[seq] = branch_count
-            store_pc[seq] = uop.pc
+            store_pc[seq] = pc
             if len(store_branch) > 4096:
                 _prune(store_branch, seq)
                 _prune(store_pc, seq)
         elif code == _OP_BRANCH_COND:
-            on_branch(uop.pc, uop.taken)
+            on_branch(pc, taken)
             branch_count += 1
         else:
-            on_indirect(uop.pc, uop.target)
+            on_indirect(pc, target)
             branch_count += 1
     session.finish()
 

@@ -28,6 +28,12 @@ scalar call pattern.  Sessions are selected via
 unless they opt in themselves.  Both replay loops (Phase A of the batched
 engine and prediction-only replay) prime their sessions for a trace
 through :func:`prime_session`.
+
+Sessions take a load or store as plain column values — ``seq``, ``pc``
+and, for a load, ``dep_store_seq`` (-1 when it has none) — rather than a
+:class:`~repro.trace.uop.MicroOp`, so the replay loops read the trace's
+columns only.  :class:`GenericMDSession` builds the one micro-op the real
+protocol takes.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from ..common.foldplan import BranchStream, FoldPlan, key_rows, path_series
 from ..common.foldvec import FoldVector
 from ..common.hashing import mix64
 from ..trace.columns import BYPASS_BY_CODE, OP_CODES, TraceColumns
-from ..trace.uop import BypassClass, MicroOp, OpClass
+from ..trace.uop import BypassClass, OpClass
 from .base import ActualOutcome, MDPredictor, PredictionKind
 from .mascot import Mascot, MascotEntry
 from .nosq import NoSQ, NoSQEntry
@@ -341,13 +347,23 @@ class GenericMDSession:
 
     Used for oracles and any predictor without a dedicated fast session;
     correctness by construction (it *is* the scalar call sequence, fused).
+    It builds each :class:`MicroOp` the real protocol takes from the
+    trace's columns (see :meth:`bind`); a store is built only for a
+    predictor that overrides the base class's no-op ``on_store``.
     """
 
-    __slots__ = ("p", "_bypassable")
+    __slots__ = ("p", "_bypassable", "_cols", "_on_store")
 
     def __init__(self, p: MDPredictor) -> None:
         self.p = p
         self._bypassable = p.bypassable_classes
+        self._cols: Optional[TraceColumns] = None
+        self._on_store = (None if type(p).on_store is MDPredictor.on_store
+                          else p.on_store)
+
+    def bind(self, cols: TraceColumns) -> None:
+        """Set the trace whose micro-ops the replay names by ``seq``."""
+        self._cols = cols
 
     def on_branch(self, pc: int, taken: bool) -> None:
         self.p.on_branch(pc, taken)
@@ -355,13 +371,16 @@ class GenericMDSession:
     def on_indirect(self, pc: int, target: int) -> None:
         self.p.on_indirect(pc, target)
 
-    def on_store(self, uop: MicroOp) -> Optional[int]:
-        return self.p.on_store(uop)
+    def on_store(self, seq: int, pc: int) -> Optional[int]:
+        if self._on_store is None:
+            return None
+        return self._on_store(self._cols.uop(seq))
 
-    def predict_train(self, uop: MicroOp, branches_between: int,
-                      store_pc: Optional[int], a_dist: int,
-                      bypass_code: int):
+    def predict_train(self, seq: int, pc: int, dep_store_seq: int,
+                      branches_between: int, store_pc: Optional[int],
+                      a_dist: int, bypass_code: int):
         p = self.p
+        uop = self._cols.uop(seq)
         prediction = p.predict(uop)
         actual = ActualOutcome.from_uop(uop, branches_between=branches_between,
                                         store_pc=store_pc)
@@ -423,19 +442,19 @@ class MascotSession:
     def on_indirect(self, pc: int, target: int) -> None:
         self.fb.on_indirect(pc, target)
 
-    def on_store(self, uop: MicroOp) -> Optional[int]:
+    def on_store(self, seq: int, pc: int) -> Optional[int]:
         return None
 
-    def predict_train(self, uop: MicroOp, branches_between: int,
-                      store_pc: Optional[int], a_dist: int,
-                      bypass_code: int):
+    def predict_train(self, seq: int, pc: int, dep_store_seq: int,
+                      branches_between: int, store_pc: Optional[int],
+                      a_dist: int, bypass_code: int):
         p = self.p
         fb = self.fb
         rows = fb.rows
         if rows is not None:
             idx, tags = next(rows)
         else:
-            fb.compute_keys(uop.pc)
+            fb.compute_keys(pc)
             idx = fb.idx
             tags = fb.tags
         sets = self._sets
@@ -637,18 +656,18 @@ class PhastSession:
     def on_indirect(self, pc: int, target: int) -> None:
         self.fb.on_indirect(pc, target)
 
-    def on_store(self, uop: MicroOp) -> Optional[int]:
+    def on_store(self, seq: int, pc: int) -> Optional[int]:
         return None
 
-    def predict_train(self, uop: MicroOp, branches_between: int,
-                      store_pc: Optional[int], a_dist: int,
-                      bypass_code: int):
+    def predict_train(self, seq: int, pc: int, dep_store_seq: int,
+                      branches_between: int, store_pc: Optional[int],
+                      a_dist: int, bypass_code: int):
         fb = self.fb
         rows = fb.rows
         if rows is not None:
             idx, tags = next(rows)
         else:
-            fb.compute_keys(uop.pc)
+            fb.compute_keys(pc)
             idx = fb.idx
             tags = fb.tags
         sets = self._sets
@@ -818,17 +837,16 @@ class NoSQSession:
         if self._plan is None:
             self.fv.push_indirect(target)
 
-    def on_store(self, uop: MicroOp) -> Optional[int]:
+    def on_store(self, seq: int, pc: int) -> Optional[int]:
         return None
 
-    def predict_train(self, uop: MicroOp, branches_between: int,
-                      store_pc: Optional[int], a_dist: int,
-                      bypass_code: int):
+    def predict_train(self, seq: int, pc: int, dep_store_seq: int,
+                      branches_between: int, store_pc: Optional[int],
+                      a_dist: int, bypass_code: int):
         keys = self._keys
         if keys is not None:
             dep_index, dep_tag, ind_index, ind_tag = next(keys)
         else:
-            pc = uop.pc
             c = self._pc_cache.get(pc)
             if c is None:
                 pc_part = pc >> 1
@@ -992,26 +1010,26 @@ class StoreSetsSession:
             if self._sink is not None:
                 self._sink.event("cyclic_clear")
 
-    def on_store(self, uop: MicroOp) -> Optional[int]:
+    def on_store(self, seq: int, pc: int) -> Optional[int]:
         p = self.p
         self._maybe_clear()
-        ssid = p._ssit[self._idx(uop.pc)]
+        ssid = p._ssit[self._idx(pc)]
         if ssid is None:
             return None
         lfst = p._lfst
         previous = lfst[ssid]
-        lfst[ssid] = uop.seq
-        if previous is not None and uop.seq - previous <= self._window:
+        lfst[ssid] = seq
+        if previous is not None and seq - previous <= self._window:
             return previous
         return None
 
-    def predict_train(self, uop: MicroOp, branches_between: int,
-                      store_pc: Optional[int], a_dist: int,
-                      bypass_code: int):
+    def predict_train(self, seq: int, pc: int, dep_store_seq: int,
+                      branches_between: int, store_pc: Optional[int],
+                      a_dist: int, bypass_code: int):
         p = self.p
         self._maybe_clear()
         sink = self._sink
-        ssid = p._ssit[self._idx(uop.pc)]
+        ssid = p._ssit[self._idx(pc)]
         kind = 0
         p_seq = None
         if ssid is None:
@@ -1019,7 +1037,7 @@ class StoreSetsSession:
                 sink.lookup(1)
         else:
             store_seq = p._lfst[ssid]
-            if store_seq is None or uop.seq - store_seq > self._window:
+            if store_seq is None or seq - store_seq > self._window:
                 if sink is not None:
                     sink.lookup(1)
             else:
@@ -1028,7 +1046,9 @@ class StoreSetsSession:
                 kind = 1
                 p_seq = store_seq
 
-        a_seq = uop.dep_store_seq
+        # A load with a_dist > 0 has a dependence store; otherwise a_seq
+        # is the -1 sentinel, which classify_fast never compares.
+        a_seq = dep_store_seq
         okind = classify_fast(kind, 0, p_seq, a_dist, a_seq,
                               self._byp_code[bypass_code])
 
@@ -1037,7 +1057,7 @@ class StoreSetsSession:
             p.violations_trained += 1
             if sink is not None:
                 sink.event("violation_trained")
-            self._assign(self._idx(uop.pc), a_seq, a_dist, store_pc)
+            self._assign(self._idx(pc), a_seq, a_dist, store_pc)
         return kind, p_seq, 0, False, okind
 
     def _assign(self, load_index: int, a_seq: int, a_dist: int,
@@ -1095,10 +1115,11 @@ def make_session(predictor: MDPredictor):
 def prime_session(session, cols: TraceColumns) -> BranchStream:
     """Prime ``session`` for the trace behind ``cols``; returns its branches.
 
-    The architectural branch stream is a pure function of the trace, so
-    sessions that support priming vectorise their fold registers and table
-    keys up front (see :meth:`FastBank.prime`); others are left as they
-    are.  The returned :class:`~repro.common.foldplan.BranchStream` can
+    A session that builds micro-ops (:class:`GenericMDSession`) is bound
+    to the columns.  The architectural branch stream is a pure function of
+    the trace, so sessions that support priming vectorise their fold
+    registers and table keys up front (see :meth:`FastBank.prime`); others
+    are left as they are.  The returned :class:`~repro.common.foldplan.BranchStream` can
     prime further sessions (the branch predictor's).
     """
     bseqs = cols.indices_of(OpClass.BRANCH_COND, OpClass.BRANCH_INDIRECT)
@@ -1109,6 +1130,9 @@ def prime_session(session, cols: TraceColumns) -> BranchStream:
         cols.target[bseqs],
     )
     stream = BranchStream(bkind, cols.pc[bseqs].astype(np.int64), bval)
+    bind = getattr(session, "bind", None)
+    if bind is not None:
+        bind(cols)
     prime = getattr(session, "prime", None)
     if prime is not None:
         load_seqs = cols.indices_of(OpClass.LOAD)

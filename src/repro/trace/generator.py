@@ -1,7 +1,9 @@
 """Dynamic trace generation.
 
 :class:`TraceGenerator` unrolls a static :class:`~repro.trace.program.Program`
-into a stream of annotated :class:`~repro.trace.uop.MicroOp` records.  The
+into a :class:`~repro.trace.columns.ColumnarTrace`: per-field columns of
+annotated micro-ops, read as :class:`~repro.trace.uop.MicroOp` records on
+demand.  The
 generator is the single source of ground truth: it evaluates every branch,
 computes every effective address, tracks the dynamic store stream through a
 :class:`~repro.trace.dependence.DependenceTracker` and stamps each load with
@@ -20,22 +22,38 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Iterator, List, Optional, Tuple
+from typing import List, Tuple
 
+import numpy as np
+
+from .columns import BYPASS_CODE_BY_VALUE, OP_CODES, ColumnarTrace, TraceColumns
 from .dependence import DependenceTracker
-from .profiles import WorkloadProfile, get_profile
+from .profiles import get_profile
 from .program import (
+    SLOT_STRIDE,
     Program,
     StaticInst,
     StaticKind,
     build_program,
 )
-from .uop import BypassClass, MicroOp, OpClass
+from .uop import OpClass
 
 __all__ = ["TraceGenerator", "generate_trace"]
 
 #: How many recent producers are eligible as random dataflow sources.
 _RECENT_WINDOW = 24
+
+# Emission kinds of the per-iteration schedule (see TraceGenerator._plan).
+_COMPUTE = 0
+_BRANCH = 1
+_INDIRECT = 2
+_STORE_PAIR = 3
+_STORE_FILLER = 4
+_LOAD_PAIR = 5
+_LOAD_STREAM = 6
+
+_COMPUTE_KINDS = (StaticKind.ALU, StaticKind.MUL, StaticKind.DIV,
+                  StaticKind.FP)
 
 
 class TraceGenerator:
@@ -52,6 +70,9 @@ class TraceGenerator:
     store_window / instr_window:
         In-flight bounds handed to the dependence tracker; defaults match
         the Golden Cove store buffer (114) and ROB (512) of Table I.
+
+    A generator produces one trace: :meth:`generate` consumes its random
+    stream and dependence tracker.
     """
 
     def __init__(
@@ -65,189 +86,325 @@ class TraceGenerator:
         self.profile = program.profile
         self._rng = random.Random(seed ^ 0x5EED)
         self._tracker = DependenceTracker(store_window, instr_window)
-        self._seq = 0
-        self._iteration = 0
-        # Dataflow state.
-        self._recent: Deque[int] = deque(maxlen=_RECENT_WINDOW)
-        self._chain_head: Optional[int] = None
-        self._last_load: Optional[int] = None
-        # Per-static-instruction stream-load cursors, keyed by id().
-        self._cursors = {}
+        self._used = False
 
-    # -- dataflow helpers ---------------------------------------------------
+    def _plan(self) -> Tuple[List[Tuple], List[StaticInst]]:
+        """One loop iteration as a flat schedule of emission tuples, and
+        the static instruction behind each.
 
-    def _pick_source(self) -> Optional[int]:
-        """Sample one dataflow source according to the chain bias."""
-        if not self._recent:
-            return None
-        if self._chain_head is not None and (
-            self._rng.random() < self.profile.chain_bias
-        ):
-            return self._chain_head
-        return self._rng.choice(tuple(self._recent))
+        Each tuple starts with its emission kind, followed by what the
+        emission reads of the static instruction (a memory op's access
+        size first).  A conditional branch
+        carries ``skip``, the number of following
+        entries its not-taken outcome skips: the guarded segment's body
+        for a guard, 0 for an in-body branch.  Stream loads carry the
+        index of their address cursor.
+        """
+        statics: List[StaticInst] = []
+        skips: List[int] = []
+        for segment in self.program.segments:
+            if segment.guard is not None:
+                statics.append(segment.guard)
+                skips.append(len(segment.body))
+            statics.extend(segment.body)
+            skips.extend([0] * len(segment.body))
+        statics.append(self.program.loop_branch)
+        skips.append(0)
 
-    def _compute_sources(self, want_two: bool) -> Tuple[int, ...]:
-        srcs: List[int] = []
-        first = self._pick_source()
-        if first is not None:
-            srcs.append(first)
-        if want_two and self._recent and self._rng.random() < 0.5:
-            second = self._rng.choice(tuple(self._recent))
-            if second not in srcs:
-                srcs.append(second)
-        # Consumers of the most recent load model load-latency sensitivity.
-        if (
-            self._last_load is not None
-            and self._last_load not in srcs
-            and self._rng.random() < self.profile.load_consumer_fraction
-        ):
-            srcs.append(self._last_load)
-        return tuple(srcs)
-
-    def _produce(self, seq: int) -> None:
-        self._recent.append(seq)
-        self._chain_head = seq
-
-    # -- per-kind emission ----------------------------------------------------
-
-    def _emit(self, inst: StaticInst) -> MicroOp:
-        seq = self._seq
-        self._seq += 1
-        kind = inst.kind
-
-        if kind in (StaticKind.ALU, StaticKind.MUL, StaticKind.DIV, StaticKind.FP):
-            uop = MicroOp(seq, inst.pc, inst.op_class,
-                          srcs=self._compute_sources(want_two=True))
-            self._produce(seq)
-            return uop
-
-        if kind is StaticKind.BRANCH:
-            taken = inst.branch.outcome(self._iteration, self._rng)
-            srcs = ()
-            if self._recent and self._rng.random() < 0.5:
-                srcs = (self._rng.choice(tuple(self._recent)),)
-            return MicroOp(seq, inst.pc, OpClass.BRANCH_COND, srcs=srcs,
-                           taken=taken, target=inst.pc + 0x20)
-
-        if kind is StaticKind.BRANCH_INDIRECT:
-            target = inst.indirect.target(self._iteration, self._rng)
-            return MicroOp(seq, inst.pc, OpClass.BRANCH_INDIRECT,
-                           taken=True, target=target)
-
-        if kind in (StaticKind.STORE_PAIR, StaticKind.STORE_FILLER):
-            if kind is StaticKind.STORE_PAIR:
-                address = inst.pair.store_address(self._iteration,
-                                                  inst.writer_stride)
-                size = inst.pair.store_size
-                # Pair stores write values computed earlier (a spilled
-                # register, a field produced upstream): their data is ready
-                # well before younger loads could complete, which is what
-                # makes bypassing them profitable.
-                data_src = self._recent[0] if self._recent else None
+        entries: List[Tuple] = []
+        cursors = 0
+        for inst, skip in zip(statics, skips):
+            kind = inst.kind
+            if kind in _COMPUTE_KINDS:
+                entries.append((_COMPUTE,))
+            elif kind is StaticKind.BRANCH:
+                b = inst.branch
+                entries.append((_BRANCH, b.pattern, b.noise, b.bias, skip))
+            elif kind is StaticKind.BRANCH_INDIRECT:
+                entries.append((_INDIRECT, inst.indirect))
+            elif kind is StaticKind.STORE_PAIR:
+                entries.append((_STORE_PAIR, _static_size(inst), inst.pair,
+                                inst.writer_stride, inst.force_addr_chain))
+            elif kind is StaticKind.STORE_FILLER:
+                entries.append((_STORE_FILLER, _static_size(inst),
+                                inst.filler_address, inst.force_addr_chain))
+            elif kind is StaticKind.LOAD_PAIR:
+                entries.append((_LOAD_PAIR, _static_size(inst), inst.pair))
+            elif kind is StaticKind.LOAD_STREAM:
+                entries.append((_LOAD_STREAM, _static_size(inst),
+                                inst.stream_random, inst.stream_stride,
+                                inst.stream_start, cursors))
+                cursors += 1
             else:
-                address = inst.filler_address
-                size = 8
-                data_src = self._pick_source()
-            srcs = (data_src,) if data_src is not None else ()
-            # A fraction of stores compute their address from live dataflow
-            # (pointer writes): their address resolves late, giving MDP
-            # decisions real timing consequences.
-            addr_src = None
-            if inst.force_addr_chain and self._chain_head is not None:
-                # A computed-address write: the address hangs off the live
-                # dataflow chain, so it resolves moderately late — waiting
-                # behind this store when it is not the actual producer
-                # (Store Sets' serialise-behind-last-fetched policy) costs
-                # real cycles.
-                addr_src = self._chain_head
-            elif (
-                self._recent
-                and self._rng.random() < self.profile.store_addr_chain_fraction
-            ):
-                addr_src = self._pick_source()
-            uop = MicroOp(seq, inst.pc, OpClass.STORE, srcs=srcs,
-                          address=address, size=size, addr_src=addr_src)
-            self._tracker.record_raw_store(seq, address, size)
-            return uop
+                raise AssertionError(f"unhandled static kind {kind}")
+        return entries, statics
 
-        if kind in (StaticKind.LOAD_PAIR, StaticKind.LOAD_STREAM):
-            if kind is StaticKind.LOAD_PAIR:
-                address = inst.pair.load_address(self._iteration)
-                size = inst.pair.load_size
-            else:
-                # Identity-keyed per-generator cursor dict: never ordered
-                # or serialised, so the process-specific ids are safe.
-                # repro-lint: allow(det-id) -- identity-only dict key
-                cursor = self._cursors.get(id(inst), 0)
-                if inst.stream_random:
-                    offset = self._rng.randrange(
-                        max(self.profile.footprint // 8, 1)
-                    ) * 8
-                else:
-                    offset = (cursor * inst.stream_stride) % self.profile.footprint
-                self._cursors[id(inst)] = cursor + 1  # repro-lint: allow(det-id)
-                address = inst.stream_start + offset
-                size = 8
-            distance, store, bypass = self._tracker.find_dependence(
-                address, size, seq
-            )
-            addr_src: Optional[int] = None
-            if kind is StaticKind.LOAD_PAIR:
-                # Pair loads compute their address from live dataflow
-                # (pointer chases, index arithmetic): with probability
-                # chain_bias the address hangs off the current chain head,
-                # so the load issues late — exactly when obtaining its value
-                # early through SMB pays off (the perlbench2 effect of
-                # Sec. VI-A).
-                addr_src = self._pick_source()
-            elif self._recent and self._rng.random() < 0.3:
-                addr_src = self._rng.choice(tuple(self._recent))
-            uop = MicroOp(
-                seq, inst.pc, OpClass.LOAD, addr_src=addr_src,
-                address=address, size=size,
-                store_distance=distance,
-                dep_store_seq=store.seq if store is not None else None,
-                bypass=bypass,
-            )
-            # Whether the load's value feeds the critical dataflow chain is
-            # the profile's sensitivity knob: lbm-style streaming kernels
-            # rarely chain on loaded values (bypassing helps little) while
-            # perlbench-style interpreters almost always do (Sec. VI-A).
-            if self._rng.random() < self.profile.load_consumer_fraction:
-                self._produce(seq)
-            else:
-                self._recent.append(seq)
-            self._last_load = seq
-            return uop
+    def generate(self, num_uops: int) -> ColumnarTrace:
+        """The first ``num_uops`` micro-ops, as a columnar trace.
 
-        raise AssertionError(f"unhandled static kind {kind}")
-
-    # -- main loop ----------------------------------------------------------------
-
-    def __iter__(self) -> Iterator[MicroOp]:
-        """Yield micro-ops forever; callers bound the stream length."""
-        while True:
-            for segment in self.program.segments:
-                if segment.guard is not None:
-                    guard_uop = self._emit(segment.guard)
-                    yield guard_uop
-                    if not guard_uop.taken:
-                        continue  # segment skipped this iteration
-                for inst in segment.body:
-                    yield self._emit(inst)
-            yield self._emit(self.program.loop_branch)
-            self._iteration += 1
-
-    def generate(self, num_uops: int) -> List[MicroOp]:
-        """Materialise the first ``num_uops`` micro-ops."""
+        One loop emits every micro-op straight into per-field columns.
+        Fields fixed by the static instruction (op class, PC, access
+        size, a conditional branch's target) are recorded as the index
+        of the emitting schedule entry; the dynamic fields are recorded
+        only for the uops that have them.  Dataflow follows explicit
+        producer links: ``recent`` holds the last producers, ``chain_head``
+        the newest value on the dependency chain and ``last_load`` the
+        newest load.
+        """
         if num_uops <= 0:
             raise ValueError("num_uops must be positive")
-        out: List[MicroOp] = []
-        for uop in self:
-            out.append(uop)
-            if len(out) >= num_uops:
+        if self._used:
+            raise RuntimeError("a TraceGenerator produces one trace")
+        self._used = True
+        entries, statics = self._plan()
+        n_entries = len(entries)
+        profile = self.profile
+        chain_bias = profile.chain_bias
+        consumer_fraction = profile.load_consumer_fraction
+        store_chain_fraction = profile.store_addr_chain_fraction
+        footprint = profile.footprint
+        random_ = self._rng.random
+        choice = self._rng.choice
+        randrange = self._rng.randrange
+        record_store = self._tracker.record_raw_store
+        find_dependence = self._tracker.find_dependence
+        bypass_code = BYPASS_CODE_BY_VALUE
+        cursor = [0] * sum(e[0] == _LOAD_STREAM for e in entries)
+
+        recent: deque = deque(maxlen=_RECENT_WINDOW)
+        chain_head = None
+        last_load = None
+
+        # Columns: the schedule index of every uop, then per-field values
+        # of the uops that have them.
+        entry_of: List[int] = []
+        src_owner: List[int] = []
+        src_flat: List[int] = []
+        cond_seq: List[int] = []
+        cond_taken: List[bool] = []
+        ind_seq: List[int] = []
+        ind_target: List[int] = []
+        mem_seq: List[int] = []
+        mem_address: List[int] = []
+        mem_addr_src: List[int] = []
+        dep_seq: List[int] = []
+        dep_distance: List[int] = []
+        dep_store: List[int] = []
+        dep_bypass: List[int] = []
+
+        seq = 0
+        iteration = 0
+        pos = 0
+        while True:
+            entry = entries[pos]
+            entry_of.append(pos)
+            pos += 1
+            kind = entry[0]
+
+            if kind == _COMPUTE:
+                if recent:
+                    if chain_head is not None and random_() < chain_bias:
+                        first = chain_head
+                    else:
+                        first = choice(recent)
+                    src_owner.append(seq)
+                    src_flat.append(first)
+                    second = None
+                    if random_() < 0.5:
+                        second = choice(recent)
+                        if second != first:
+                            src_owner.append(seq)
+                            src_flat.append(second)
+                    # Consumers of the most recent load model
+                    # load-latency sensitivity.
+                    if (last_load is not None and last_load != first
+                            and last_load != second
+                            and random_() < consumer_fraction):
+                        src_owner.append(seq)
+                        src_flat.append(last_load)
+                recent.append(seq)
+                chain_head = seq
+
+            elif kind == _BRANCH:
+                _, pattern, noise, bias, skip = entry
+                if pattern is not None:
+                    taken = pattern[iteration % len(pattern)]
+                    if noise and random_() < noise:
+                        taken = not taken
+                else:
+                    taken = random_() < bias
+                if recent and random_() < 0.5:
+                    src_owner.append(seq)
+                    src_flat.append(choice(recent))
+                cond_seq.append(seq)
+                cond_taken.append(taken)
+                if not taken:
+                    pos += skip  # a guard skips its segment
+
+            elif kind == _INDIRECT:
+                ind_seq.append(seq)
+                ind_target.append(entry[1].target(iteration, self._rng))
+
+            elif kind == _STORE_PAIR or kind == _STORE_FILLER:
+                size = entry[1]
+                if kind == _STORE_PAIR:
+                    _, _, pair, stride, force_chain = entry
+                    address = pair.base_address + (
+                        (iteration * stride) % pair.rotation) * SLOT_STRIDE
+                    # Pair stores write values computed earlier (a spilled
+                    # register, a field produced upstream): their data is
+                    # ready well before younger loads could complete,
+                    # which is what makes bypassing them profitable.
+                    data_src = recent[0] if recent else None
+                else:
+                    _, _, address, force_chain = entry
+                    data_src = None
+                    if recent:
+                        if chain_head is not None and random_() < chain_bias:
+                            data_src = chain_head
+                        else:
+                            data_src = choice(recent)
+                if data_src is not None:
+                    src_owner.append(seq)
+                    src_flat.append(data_src)
+                # A fraction of stores compute their address from live
+                # dataflow (pointer writes): their address resolves late,
+                # giving MDP decisions real timing consequences.
+                addr_src = -1
+                if force_chain and chain_head is not None:
+                    # A computed-address write: the address hangs off the
+                    # live dataflow chain, so it resolves moderately late —
+                    # waiting behind this store when it is not the actual
+                    # producer (Store Sets' serialise-behind-last-fetched
+                    # policy) costs real cycles.
+                    addr_src = chain_head
+                elif recent and random_() < store_chain_fraction:
+                    if chain_head is not None and random_() < chain_bias:
+                        addr_src = chain_head
+                    else:
+                        addr_src = choice(recent)
+                mem_seq.append(seq)
+                mem_address.append(address)
+                mem_addr_src.append(addr_src)
+                record_store(seq, address, size)
+
+            else:  # a load
+                size = entry[1]
+                if kind == _LOAD_PAIR:
+                    pair = entry[2]
+                    address = (pair.base_address
+                               + (iteration % pair.rotation) * SLOT_STRIDE
+                               + pair.load_offset)
+                else:
+                    _, _, stream_random, stride, stream_start, slot = entry
+                    if stream_random:
+                        offset = randrange(max(footprint // 8, 1)) * 8
+                    else:
+                        offset = (cursor[slot] * stride) % footprint
+                    cursor[slot] += 1
+                    address = stream_start + offset
+                distance, store, bypass = find_dependence(address, size, seq)
+                if store is not None:
+                    dep_seq.append(seq)
+                    dep_distance.append(distance)
+                    dep_store.append(store.seq)
+                    dep_bypass.append(bypass_code[bypass._value_])
+                addr_src = -1
+                if kind == _LOAD_PAIR:
+                    # Pair loads compute their address from live dataflow
+                    # (pointer chases, index arithmetic): with probability
+                    # chain_bias the address hangs off the current chain
+                    # head, so the load issues late — exactly when
+                    # obtaining its value early through SMB pays off (the
+                    # perlbench2 effect of Sec. VI-A).
+                    if recent:
+                        if chain_head is not None and random_() < chain_bias:
+                            addr_src = chain_head
+                        else:
+                            addr_src = choice(recent)
+                elif recent and random_() < 0.3:
+                    addr_src = choice(recent)
+                mem_seq.append(seq)
+                mem_address.append(address)
+                mem_addr_src.append(addr_src)
+                # Whether the load's value feeds the critical dataflow
+                # chain is the profile's sensitivity knob: lbm-style
+                # streaming kernels rarely chain on loaded values
+                # (bypassing helps little) while perlbench-style
+                # interpreters almost always do (Sec. VI-A).
+                if random_() < consumer_fraction:
+                    chain_head = seq
+                recent.append(seq)
+                last_load = seq
+
+            seq += 1
+            if seq == num_uops:
                 break
-        return out
+            if pos == n_entries:
+                pos = 0
+                iteration += 1
+
+        return ColumnarTrace(_columns(
+            statics, num_uops, entry_of, src_owner, src_flat,
+            (cond_seq, cond_taken), (ind_seq, ind_target),
+            (mem_seq, mem_address, mem_addr_src),
+            (dep_seq, dep_distance, dep_store, dep_bypass)))
+
+
+def _columns(statics: List[StaticInst], n: int, entry_of, src_owner,
+             src_flat, cond, indirect, memory, deps) -> TraceColumns:
+    """Assemble the recorded fields into :class:`TraceColumns`."""
+    op_of = np.array([OP_CODES[inst.op_class] for inst in statics],
+                     dtype=np.int8)
+    pc_of = np.array([inst.pc for inst in statics], dtype=np.int64)
+    size_of = np.array([_static_size(inst) for inst in statics],
+                       dtype=np.int32)
+    index = np.array(entry_of, dtype=np.intp)
+    op = op_of[index]
+    pc = pc_of[index]
+
+    src_start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(np.array(src_owner, dtype=np.intp),
+                          minlength=n), out=src_start[1:])
+
+    taken = op == OP_CODES[OpClass.BRANCH_INDIRECT]
+    target = np.where(op == OP_CODES[OpClass.BRANCH_COND], pc + 0x20, 0)
+    cond_seq, cond_taken = cond
+    taken[cond_seq] = cond_taken
+    ind_seq, ind_target = indirect
+    target[ind_seq] = ind_target
+
+    address = np.zeros(n, dtype=np.int64)
+    addr_src = np.full(n, -1, dtype=np.int64)
+    mem_seq, mem_address, mem_addr_src = memory
+    address[mem_seq] = mem_address
+    addr_src[mem_seq] = mem_addr_src
+    size = size_of[index]
+
+    store_distance = np.zeros(n, dtype=np.int32)
+    dep_store_seq = np.full(n, -1, dtype=np.int64)
+    bypass = np.full(n, BYPASS_CODE_BY_VALUE["none"], dtype=np.int8)
+    dep_seq, dep_distance, dep_store, dep_bypass = deps
+    store_distance[dep_seq] = dep_distance
+    dep_store_seq[dep_seq] = dep_store
+    bypass[dep_seq] = dep_bypass
+
+    return TraceColumns.from_arrays(
+        op=op, pc=pc, src_start=src_start, src_flat=src_flat,
+        taken=taken, target=target, address=address, size=size,
+        addr_src=addr_src, store_distance=store_distance,
+        dep_store_seq=dep_store_seq, bypass=bypass)
+
+
+def _static_size(inst: StaticInst) -> int:
+    """Access size fixed by a static memory instruction (0 otherwise)."""
+    if inst.kind is StaticKind.STORE_PAIR:
+        return inst.pair.store_size
+    if inst.kind is StaticKind.LOAD_PAIR:
+        return inst.pair.load_size
+    if inst.kind in (StaticKind.STORE_FILLER, StaticKind.LOAD_STREAM):
+        return 8
+    return 0
 
 
 def generate_trace(
@@ -257,7 +414,7 @@ def generate_trace(
     trace_seed: int = 1,
     store_window: int = 114,
     instr_window: int = 512,
-) -> List[MicroOp]:
+) -> ColumnarTrace:
     """Convenience one-call trace generation for a named suite benchmark.
 
     >>> trace = generate_trace("perlbench1", 10_000)

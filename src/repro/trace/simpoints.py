@@ -82,8 +82,8 @@ def basic_block_vectors(trace: Sequence[MicroOp],
             pc_index[uop.pc] = len(pc_index)
     vectors = np.zeros((len(intervals), len(pc_index)), dtype=np.float64)
     for interval in intervals:
-        for seq in range(interval.start, interval.end):
-            vectors[interval.index, pc_index[trace[seq].pc]] += 1.0
+        for uop in trace[interval.start:interval.end]:
+            vectors[interval.index, pc_index[uop.pc]] += 1.0
     sums = vectors.sum(axis=1, keepdims=True)
     sums[sums == 0.0] = 1.0
     return vectors / sums
@@ -220,11 +220,13 @@ def rebase_interval(trace: Sequence[MicroOp],
 
     if offset < 0:
         raise ValueError("offset must be non-negative")
+    if interval.end > len(trace):
+        raise IndexError(f"interval ends at {interval.end}, past the "
+                         f"{len(trace)}-uop trace")
     start = interval.start
     delta = offset - start
     out: List[MicroOp] = []
-    for seq in range(interval.start, interval.end):
-        uop = trace[seq]
+    for uop in trace[interval.start:interval.end]:
         srcs = tuple(s + delta for s in uop.srcs if s >= start)
         addr_src = (
             uop.addr_src + delta
